@@ -9,7 +9,7 @@ unknowns by static condensation.
 
 from .common import (AssemblyError, ConfigError, NumericalError, QuadSettings,
                      SolverError, DEFAULT_QUAD)
-from .mesh import (Cell, Face, Mesh, MeshError, MeshFormatError,
+from .mesh import (Mesh, MeshError, MeshFormatError,
                    SubTriangulation, ValidationReport, build_polygon_mesh,
                    build_rect_mesh, build_tri_mesh, build_voronoi_mesh,
                    load_mesh, save_mesh, subtriangulate, validate,
@@ -17,11 +17,11 @@ from .mesh import (Cell, Face, Mesh, MeshError, MeshFormatError,
 from .quadrature import QuadratureRule, cell_rule, face_rule, segment_rule, triangle_rule
 from .polyspace import (CellBasis, FaceBasis, PolyCoeffs, canonical_interp_face,
                         canonical_interp_matrix, cell_mass_matrix,
-                        face_mass_matrix, hessian_traces_on_face,
+                        face_derivatives, hessian_traces_on_face,
                         normal_derivative_on_face, project_cell, project_face,
                         space_dim, tangential_derivative, trace_on_face)
 from .localops import (LocalDofLayout, LocalOperators, build_local_matrices,
-                       build_nitsche_cell_ops, build_reconstruction,
+                       build_reconstruction, build_seminorm_gram,
                        build_stabilization, elliptic_projection_oracle,
                        local_seminorm, make_layout, reduce_cell, rigid_modes)
 from .assembly import (BoundaryData, CondensedSystem, DofMap, HHOSolution,

@@ -14,7 +14,6 @@ the fixed face normals.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -294,8 +293,7 @@ def _cell_contribution(mesh, c, variant, k, bc_mode, f_load, bdata, scaling,
 
 def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
              bc_mode: str = "strong", f=None, bdata: BoundaryData = None,
-             scaling: str = "k2-all", quad=DEFAULT_QUAD,
-             threads: int = 1) -> CondensedSystem:
+             scaling: str = "k2-all", quad=DEFAULT_QUAD) -> CondensedSystem:
     """Assemble the statically condensed global system.
 
     Per cell: build the local operators, integrate the load against the cell
@@ -311,15 +309,9 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
     if bc_mode == "strong":
         prescribed = _prescribe_boundary(mesh, variant, k, bdata, quad)
 
-    def one(c):
-        return _cell_contribution(mesh, c, variant, k, bc_mode, f, bdata,
+    results = [_cell_contribution(mesh, c, variant, k, bc_mode, f, bdata,
                                   scaling, quad, prescribed, dofmap)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, range(mesh.n_cells)))
-    else:
-        results = [one(c) for c in range(mesh.n_cells)]
+               for c in range(mesh.n_cells)]
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofmap.n_dofs)

@@ -13,7 +13,6 @@ configuration and exits.  Exit codes: 0 success, 2 configuration error,
 """
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -23,7 +22,7 @@ from .common import ConfigError, NumericalError, QuadSettings, STAB_SCALINGS
 from .manufactured import get_case
 from .mesh import (build_rect_mesh, build_tri_mesh, build_voronoi_mesh,
                    load_mesh, save_mesh, validate, MeshError)
-from .solving import (CSV_HEADER, SolveConfig, convergence_study,
+from .solving import (RateTable, SolveConfig, convergence_study,
                       solve_and_measure)
 
 __all__ = ["main", "RunConfig"]
@@ -48,7 +47,6 @@ class RunConfig:
     error_extra_degree: int = 4
     solver: str = "direct"         # direct | cg
     cg_tol: float = 1e-12
-    threads: int = 1
     out_dir: str = "out"
 
     def check(self):
@@ -66,8 +64,10 @@ class RunConfig:
             raise ConfigError(f"unknown mesh kind {self.mesh_kind!r}")
         if self.solver not in ("direct", "cg"):
             raise ConfigError(f"solver must be direct or cg")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        try:
+            get_case(self.case)
+        except KeyError as err:
+            raise ConfigError(err.args[0]) from None
         return self
 
     def quad(self):
@@ -161,7 +161,6 @@ def _add_run_flags(p):
     p.add_argument("--levels", help="comma list of resolutions, coarse to fine")
     p.add_argument("--solver", choices=("direct", "cg"))
     p.add_argument("--cg-tol", dest="cg_tol", type=float)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--rhs-extra-degree", dest="rhs_extra_degree", type=int)
     p.add_argument("--bc-extra-degree", dest="bc_extra_degree", type=int)
@@ -198,15 +197,9 @@ def cmd_solve(args) -> int:
     case = get_case(cfg.case)
     report, _, _ = solve_and_measure(
         mesh, cfg.variant, cfg.k, cfg.bc_mode, case, scaling=cfg.scaling,
-        quad=cfg.quad(), solve_cfg=cfg.solve_config(), threads=cfg.threads)
+        quad=cfg.quad(), solve_cfg=cfg.solve_config())
     path = _report_csv_path(cfg)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerow([0, f"{report.h_max:.12e}", report.dofs,
-                         f"{report.err_h2_rel:.12e}", f"{report.err_l2_rel:.12e}",
-                         "", "", f"{report.assembly_time:.3f}",
-                         f"{report.solve_time:.3f}"])
+    RateTable([report]).to_csv(path)
     print(f"variant {cfg.variant}, k={cfg.k}, {cfg.bc_mode} bc, case {cfg.case}")
     print(f"  mesh: {mesh}  (h_max = {report.h_max:.4e})")
     print(f"  dofs: {report.dofs}")
@@ -228,7 +221,7 @@ def _run_family(cfg, variant, bc_mode, tag):
     table = convergence_study(meshes, variant, cfg.k, bc_mode, case,
                               scaling=cfg.scaling, quad=cfg.quad(),
                               solve_cfg=cfg.solve_config(), csv_path=path,
-                              threads=cfg.threads, progress=progress)
+                              progress=progress)
     print(f"  [{tag}] fitted slopes: H2 {table.slope_h2:.3f}, "
           f"L2 {table.slope_l2:.3f}  -> {path}")
     return table
@@ -305,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, MeshError, KeyError) as err:
+    except (ConfigError, MeshError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except NumericalError as err:

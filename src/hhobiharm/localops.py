@@ -30,15 +30,16 @@ import scipy.linalg as sla
 
 from .common import DEFAULT_QUAD, AssemblyError, ConfigError, stab_factors
 from .mesh import Mesh
-from .polyspace import (CellBasis, FaceBasis, PolyCoeffs, canonical_interp_face,
-                        canonical_interp_matrix, project_cell, project_face,
-                        space_dim)
+from .polyspace import (FACE_ORDERS_2, FACE_ORDERS_3, CellBasis, FaceBasis,
+                        PolyCoeffs, canonical_interp_face,
+                        canonical_interp_matrix, face_derivatives,
+                        project_cell, project_face, space_dim)
 from .quadrature import cell_rule, face_rule
 
 __all__ = [
     "LocalDofLayout", "LocalOperators", "make_layout",
-    "build_reconstruction", "build_stabilization", "build_local_matrices",
-    "build_nitsche_cell_ops", "reduce_cell", "elliptic_projection_oracle",
+    "build_reconstruction", "build_stabilization", "build_seminorm_gram",
+    "build_local_matrices", "reduce_cell", "elliptic_projection_oracle",
     "local_seminorm", "rigid_modes", "space_degrees",
 ]
 
@@ -117,7 +118,6 @@ class LocalOperators:
     G: np.ndarray                     # Hessian Gram matrix on P^{k+2}(K)
     S: np.ndarray                     # stabilization
     A: np.ndarray                     # R^T G R + S
-    N: np.ndarray                     # Gram matrix of the local energy seminorm
     lifting: Optional[np.ndarray] = None        # boundary-data lifting (Nitsche)
     load_boundary: Optional[np.ndarray] = None  # boundary data terms of the rhs
 
@@ -200,39 +200,22 @@ class _CellWork:
         dPsi = fb.eval(rule.points, 1)
         Mf = self._sym(Psi.T @ (w[:, None] * Psi))
 
-        b = self.rec_basis
-        pts = rule.points
-        orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-        if k >= 1:
-            orders += [(3, 0), (2, 1), (1, 2), (0, 3)]
-        tab = b.tables(pts, orders)
+        # The third orders feed d_n(Laplacian), which vanishes on P^2 (k = 0).
+        tab = self.rec_basis.tables(rule.points,
+                                    FACE_ORDERS_3 if k >= 1 else FACE_ORDERS_2)
         V = tab[(0, 0)]
-        Gx, Gy = tab[(1, 0)], tab[(0, 1)]
-        Hxx, Hxy, Hyy = tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]
-        Dn = n_out[0] * Gx + n_out[1] * Gy
-        Dt = t[0] * Gx + t[1] * Gy
-        Dnn = (n_out[0] ** 2 * Hxx + 2 * n_out[0] * n_out[1] * Hxy
-               + n_out[1] ** 2 * Hyy)
-        Dnt = (t[0] * n_out[0] * Hxx + (t[0] * n_out[1] + t[1] * n_out[0]) * Hxy
-               + t[1] * n_out[1] * Hyy)
-        if k >= 1:
-            DnLap = (n_out[0] * (tab[(3, 0)] + tab[(1, 2)])
-                     + n_out[1] * (tab[(2, 1)] + tab[(0, 3)]))
-        else:
-            DnLap = None
+        Dn, Dt, Dnn, Dnt, DnLap = face_derivatives(tab, n_out, t)
 
         # Coefficients on the face of cell-polynomial traces.
         T2 = sla.solve(Mf, Psi.T @ (w[:, None] * V), assume_a="pos")
-        m1 = k + 2   # dim P^{k+1}(F)
-        N1 = sla.solve(Mf[:m1, :m1], Psi[:, :m1].T @ (w[:, None] * Dn),
-                       assume_a="pos")
         PN = sla.solve(Mf[:k + 1, :k + 1], Psi[:, :k + 1].T @ (w[:, None] * Dn),
                        assume_a="pos")
-        J = canonical_interp_matrix(fb, k, rule)
+        # Variant B penalizes plain L^2 traces and never reads J.
+        J = None if self.variant == "B" else canonical_interp_matrix(fb, k, rule)
 
         return dict(face=f, sign=sgn, rule=rule, w=w, n=n_out, t=t,
                     basis=fb, Psi=Psi, dPsi=dPsi, Mf=Mf, V=V, Dn=Dn, Dt=Dt,
-                    Dnn=Dnn, Dnt=Dnt, DnLap=DnLap, T2=T2, N1=N1, PN=PN, J=J,
+                    Dnn=Dnn, Dnt=Dnt, DnLap=DnLap, T2=T2, PN=PN, J=J,
                     boundary=bool(self.mesh.is_boundary_face[f]))
 
     def _active(self, a):
@@ -367,8 +350,12 @@ class _CellWork:
             rho[:td, lay.trace_slice(a)] = np.eye(td)
             N += h ** -3 * rho.T @ Mf @ rho
 
-            rho = np.zeros((k + 2, n))
-            rho[:, lay.cell_slice] = -ft["N1"][:, :self.cell_dim]
+            m1 = k + 2   # dim P^{k+1}(F)
+            N1 = sla.solve(Mf[:m1, :m1],
+                           ft["Psi"][:, :m1].T @ (ft["w"][:, None] * ft["Dn"]),
+                           assume_a="pos")
+            rho = np.zeros((m1, n))
+            rho[:, lay.cell_slice] = -N1[:, :self.cell_dim]
             rho[:k + 1, lay.normal_slice(a)] = np.eye(k + 1)
             N += h ** -1 * rho.T @ Mf[:k + 2, :k + 2] @ rho
         if self.nitsche:
@@ -378,81 +365,44 @@ class _CellWork:
 
     # -- boundary data (Nitsche) -------------------------------------------------
 
-    def _boundary_data_tables(self, bdata):
-        """Per boundary face: enriched rule, basis tables, and data samples."""
-        out = []
+    def _nitsche_terms(self, bdata, scaling):
+        """One pass over the boundary faces: lifting rhs, lifting, penalty load.
+
+        The lifting right-hand side is -(g_D, dn Lap w) + (G, grad dn w); the
+        load holds the boundary penalty tested against the cell unknown.
+        """
+        fac_low, fac_hm1 = stab_factors(scaling, self.k)
+        h, nc = self.h, self.cell_dim
         deg = self.quad.face_base(self.k) + self.quad.bc_extra_degree
-        for a, ft in enumerate(self._faces):
+        rhs = np.zeros(self.rec_dim)
+        load = np.zeros(self.layout.n_total)
+        for ft in self._faces:
             if not ft["boundary"]:
                 continue
-            f = self.faces[a]
-            rule = face_rule(self.mesh, f, deg)
-            pts = rule.points
-            b = self.rec_basis
-            n, t = ft["n"], ft["t"]
-            tab = b.tables(pts, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
-                                 (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)])
-            Gx, Gy = tab[(1, 0)], tab[(0, 1)]
-            Hxx, Hxy, Hyy = tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]
+            rule = face_rule(self.mesh, ft["face"], deg)
+            pts, w, n, t = rule.points, rule.weights, ft["n"], ft["t"]
+            tab = self.rec_basis.tables(pts, FACE_ORDERS_3)
+            Dn, Dt, Dnn, Dnt, DnLap = face_derivatives(tab, n, t)
             gD = np.asarray(bdata.dirichlet(pts), dtype=np.float64)
             grad = bdata.boundary_gradient(pts, n, t)
-            gN = grad @ n
-            dtg = grad @ t
-            out.append(dict(
-                w=rule.weights, V=tab[(0, 0)], Dn=n[0] * Gx + n[1] * Gy,
-                Dt=t[0] * Gx + t[1] * Gy,
-                Dnn=n[0] ** 2 * Hxx + 2 * n[0] * n[1] * Hxy + n[1] ** 2 * Hyy,
-                Dnt=(t[0] * n[0] * Hxx + (t[0] * n[1] + t[1] * n[0]) * Hxy
-                     + t[1] * n[1] * Hyy),
-                DnLap=(n[0] * (tab[(3, 0)] + tab[(1, 2)])
-                       + n[1] * (tab[(2, 1)] + tab[(0, 3)])),
-                gD=gD, gN=gN, dtg=dtg))
-        return out
-
-    def lifting_rhs(self, bdata):
-        """Right-hand side of the lifting problem: -(g_D, dn Lap w) + (G, grad dn w)."""
-        rhs = np.zeros(self.rec_dim)
-        for ft in self._boundary_data_tables(bdata):
-            w = ft["w"]
-            rhs += ft["Dnn"].T @ (w * ft["gN"]) + ft["Dnt"].T @ (w * ft["dtg"])
-            rhs -= ft["DnLap"].T @ (w * ft["gD"])
-        return rhs
+            gN, dtg = grad @ n, grad @ t
+            rhs += Dnn.T @ (w * gN) + Dnt.T @ (w * dtg)
+            rhs -= DnLap.T @ (w * gD)
+            load[:nc] += (fac_low * h ** -3 * tab[(0, 0)][:, :nc].T @ (w * gD)
+                          + fac_hm1 * h ** -1 * (Dn[:, :nc].T @ (w * gN)
+                                                 + Dt[:, :nc].T @ (w * dtg)))
+        lifting = self.saddle_solve(rhs[:, None])[:, 0]
+        return rhs, lifting, load
 
     def nitsche_data(self, bdata, scaling, R):
         """Lifting coefficients and the boundary part of the local load vector."""
-        lay = self.layout
-        fac_low, fac_hm1 = stab_factors(scaling, self.k)
-        rhs_lift = self.lifting_rhs(bdata)
-        lifting = self.saddle_solve(rhs_lift[:, None])[:, 0]
-        load = np.zeros(lay.n_total)
-        h = self.h
-        for ft in self._boundary_data_tables(bdata):
-            w = ft["w"]
-            nc = self.cell_dim
-            pen = fac_low * h ** -3 * ft["V"][:, :nc].T @ (w * ft["gD"])
-            pen += fac_hm1 * h ** -1 * (ft["Dn"][:, :nc].T @ (w * ft["gN"])
-                                        + ft["Dt"][:, :nc].T @ (w * ft["dtg"]))
-            load[lay.cell_slice] += pen
-        load -= R.T @ rhs_lift
-        return lifting, load
+        rhs_lift, lifting, load = self._nitsche_terms(bdata, scaling)
+        return lifting, load - R.T @ rhs_lift
 
     def nitsche_load_two_path(self, bdata, scaling, R):
         """Data terms of the load assembled through the lifting (cross-check path)."""
-        lay = self.layout
-        fac_low, fac_hm1 = stab_factors(scaling, self.k)
-        rhs_lift = self.lifting_rhs(bdata)
-        lifting = self.saddle_solve(rhs_lift[:, None])[:, 0]
-        load = np.zeros(lay.n_total)
-        h = self.h
-        for ft in self._boundary_data_tables(bdata):
-            w = ft["w"]
-            nc = self.cell_dim
-            pen = fac_low * h ** -3 * ft["V"][:, :nc].T @ (w * ft["gD"])
-            pen += fac_hm1 * h ** -1 * (ft["Dn"][:, :nc].T @ (w * ft["gN"])
-                                        + ft["Dt"][:, :nc].T @ (w * ft["dtg"]))
-            load[lay.cell_slice] += pen
-        load -= R.T @ (self.G @ lifting)
-        return load
+        _, lifting, load = self._nitsche_terms(bdata, scaling)
+        return load - R.T @ (self.G @ lifting)
 
 
 def _kernel_dim(A, tol=1e-12):
@@ -485,6 +435,13 @@ def build_stabilization(mesh, cell_id, variant="A", k=1, scaling="k2-all",
     return work.stabilization(scaling)
 
 
+def build_seminorm_gram(mesh, cell_id, variant="A", k=1, nitsche=False,
+                        quad=DEFAULT_QUAD) -> np.ndarray:
+    """Gram matrix of the local energy seminorm (see `local_seminorm`)."""
+    work = _CellWork(mesh, cell_id, variant, k, nitsche, quad)
+    return work.seminorm_gram()
+
+
 def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
                          nitsche=False, bdata=None, quad=DEFAULT_QUAD,
                          check_kernel=True) -> LocalOperators:
@@ -499,7 +456,6 @@ def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
     S = work.stabilization(scaling, R=R)
     A = R.T @ work.G @ R + S
     A = 0.5 * (A + A.T)
-    N = work.seminorm_gram()
 
     lifting = None
     load_boundary = None
@@ -521,16 +477,7 @@ def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
 
     return LocalOperators(cell_id=cell_id, layout=work.layout,
                           rec_basis=work.rec_basis, R=R, G=work.G, S=S, A=A,
-                          N=N, lifting=lifting, load_boundary=load_boundary)
-
-
-def build_nitsche_cell_ops(mesh, cell_id, k, bdata=None, variant="A",
-                           scaling="k2-all", quad=DEFAULT_QUAD,
-                           check_kernel=True) -> LocalOperators:
-    """Nitsche-mode operators; interior cells coincide with the standard ones."""
-    return build_local_matrices(mesh, cell_id, variant=variant, k=k,
-                                scaling=scaling, nitsche=True, bdata=bdata,
-                                quad=quad, check_kernel=check_kernel)
+                          lifting=lifting, load_boundary=load_boundary)
 
 
 def reduce_cell(mesh, cell_id, u, grad, variant="A", k=1, nitsche=False,
@@ -590,10 +537,13 @@ def elliptic_projection_oracle(u, hess, mesh, cell_id, k,
     return PolyCoeffs(b, coeffs)
 
 
-def local_seminorm(ops: LocalOperators, vhat) -> float:
-    """Energy seminorm |v|: Hessian of the cell part plus scaled face mismatches."""
+def local_seminorm(N: np.ndarray, vhat) -> float:
+    """Energy seminorm |v|: Hessian of the cell part plus scaled face mismatches.
+
+    `N` is the Gram matrix from `build_seminorm_gram`.
+    """
     vhat = np.asarray(vhat, dtype=np.float64)
-    return float(np.sqrt(max(vhat @ ops.N @ vhat, 0.0)))
+    return float(np.sqrt(max(vhat @ N @ vhat, 0.0)))
 
 
 def rigid_modes(mesh, cell_id, layout: LocalDofLayout) -> np.ndarray:

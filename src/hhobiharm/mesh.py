@@ -17,7 +17,7 @@ from scipy.spatial import Voronoi, cKDTree
 from scipy.spatial._qhull import QhullError
 
 __all__ = [
-    "Mesh", "Face", "Cell", "SubTriangulation", "ValidationReport",
+    "Mesh", "SubTriangulation", "ValidationReport",
     "MeshError", "MeshFormatError",
     "build_rect_mesh", "build_tri_mesh", "build_voronoi_mesh",
     "build_polygon_mesh", "load_mesh", "save_mesh", "validate",
@@ -33,31 +33,6 @@ class MeshError(ValueError):
 
 class MeshFormatError(MeshError):
     """Mesh file does not conform to the JSON schema."""
-
-
-@dataclass(frozen=True)
-class Face:
-    """Read-only view of one mesh face (straight segment)."""
-    index: int
-    vertex_ids: tuple
-    cells: tuple            # one (boundary) or two (interface) cell ids
-    is_boundary: bool
-    normal: np.ndarray      # unit n_F, fixed orientation
-    tangent: np.ndarray     # unit tangent from vertex_ids[0] to vertex_ids[1]
-    length: float           # h_F
-    midpoint: np.ndarray
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Read-only view of one mesh cell (simple polygon)."""
-    index: int
-    face_ids: tuple         # counterclockwise loop
-    face_signs: tuple       # sigma_KF = n_F . n_K in {+1, -1}
-    vertex_loop: tuple      # counterclockwise vertex ids
-    centroid: np.ndarray
-    area: float
-    diameter: float         # h_K
 
 
 @dataclass(frozen=True)
@@ -257,21 +232,6 @@ class Mesh:
 
     def interior_faces(self):
         return np.nonzero(~self.is_boundary_face)[0]
-
-    def face(self, f: int) -> Face:
-        adj = self.face_cells[f]
-        cells = (int(adj[0]),) if adj[1] < 0 else (int(adj[0]), int(adj[1]))
-        return Face(index=f, vertex_ids=tuple(int(v) for v in self.face_vertices[f]),
-                    cells=cells, is_boundary=bool(self.is_boundary_face[f]),
-                    normal=self.face_normal[f], tangent=self.face_tangent[f],
-                    length=float(self.face_length[f]), midpoint=self.face_midpoint[f])
-
-    def cell(self, c: int) -> Cell:
-        return Cell(index=c, face_ids=tuple(int(f) for f in self.cell_faces[c]),
-                    face_signs=tuple(int(s) for s in self.cell_signs[c]),
-                    vertex_loop=tuple(int(v) for v in self.cell_loops[c]),
-                    centroid=self.cell_centroid[c], area=float(self.cell_area[c]),
-                    diameter=float(self.cell_diameter[c]))
 
     def cell_polygon(self, c: int) -> np.ndarray:
         return self.vertices[self.cell_loops[c]]

@@ -21,13 +21,16 @@ from .quadrature import QuadratureRule
 
 __all__ = [
     "CellBasis", "FaceBasis", "PolyCoeffs", "space_dim",
-    "cell_mass_matrix", "face_mass_matrix",
-    "project_cell", "project_face",
-    "cell_projection_matrix", "face_projection_matrix",
+    "cell_mass_matrix", "project_cell", "project_face",
     "canonical_interp_face", "canonical_interp_matrix",
     "tangential_derivative", "tangential_derivative_matrix",
-    "trace_on_face", "normal_derivative_on_face", "hessian_traces_on_face",
+    "face_derivatives", "trace_on_face", "normal_derivative_on_face",
+    "hessian_traces_on_face",
 ]
+
+# Derivative orders read by `face_derivatives`, without and with the third order.
+FACE_ORDERS_2 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+FACE_ORDERS_3 = FACE_ORDERS_2 + [(3, 0), (2, 1), (1, 2), (0, 3)]
 
 
 def space_dim(degree: int) -> int:
@@ -106,6 +109,29 @@ class CellBasis:
 
     def __repr__(self):
         return f"CellBasis(degree={self.degree}, dim={self.dim}, cell={self.cell_id})"
+
+
+def face_derivatives(tab: dict, n, t):
+    """Directional derivatives along a face: (Dn, Dt, Dnn, Dnt, DnLap).
+
+    `tab` maps (dx, dy) to d^dx_x d^dy_y of something at face points: basis
+    tables from `CellBasis.tables` or sampled derivatives of a function.  It
+    needs the first and second orders; DnLap = d_n(Laplacian) is None unless
+    the third orders are present too.  `n` and `t` are the unit normal and
+    tangent of the face.
+    """
+    Gx, Gy = tab[(1, 0)], tab[(0, 1)]
+    Hxx, Hxy, Hyy = tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]
+    Dn = n[0] * Gx + n[1] * Gy
+    Dt = t[0] * Gx + t[1] * Gy
+    Dnn = n[0] ** 2 * Hxx + 2 * n[0] * n[1] * Hxy + n[1] ** 2 * Hyy
+    Dnt = (t[0] * n[0] * Hxx + (t[0] * n[1] + t[1] * n[0]) * Hxy
+           + t[1] * n[1] * Hyy)
+    DnLap = None
+    if (3, 0) in tab:
+        DnLap = (n[0] * (tab[(3, 0)] + tab[(1, 2)])
+                 + n[1] * (tab[(2, 1)] + tab[(0, 3)]))
+    return Dn, Dt, Dnn, Dnt, DnLap
 
 
 class FaceBasis:
@@ -189,10 +215,6 @@ def cell_mass_matrix(basis: CellBasis, rule: QuadratureRule) -> np.ndarray:
     return M
 
 
-def face_mass_matrix(basis: FaceBasis, rule: QuadratureRule) -> np.ndarray:
-    return _gram(basis.eval(rule.points), rule.weights)
-
-
 def project_cell(v, basis: CellBasis, rule: QuadratureRule) -> PolyCoeffs:
     """L^2-orthogonal projection of v onto the cell basis span."""
     table = basis.eval(rule.points)
@@ -207,25 +229,6 @@ def project_face(v, basis: FaceBasis, rule: QuadratureRule) -> PolyCoeffs:
     M = _gram(table, rule.weights)
     rhs = table.T @ (rule.weights * np.asarray(v(rule.points), dtype=np.float64))
     return PolyCoeffs(basis, sla.solve(M, rhs, assume_a="pos"))
-
-
-def cell_projection_matrix(src: CellBasis, dst: CellBasis,
-                           rule: QuadratureRule) -> np.ndarray:
-    """Matrix of the L^2 projection from src coefficients to dst coefficients."""
-    td = dst.eval(rule.points)
-    ts = src.eval(rule.points)
-    M = _gram(td, rule.weights)
-    B = td.T @ (rule.weights[:, None] * ts)
-    return sla.solve(M, B, assume_a="pos")
-
-
-def face_projection_matrix(src: FaceBasis, dst: FaceBasis,
-                           rule: QuadratureRule) -> np.ndarray:
-    td = dst.eval(rule.points)
-    ts = src.eval(rule.points)
-    M = _gram(td, rule.weights)
-    B = td.T @ (rule.weights[:, None] * ts)
-    return sla.solve(M, B, assume_a="pos")
 
 
 # -- canonical hybrid interpolation -------------------------------------------
@@ -342,29 +345,21 @@ def trace_on_face(poly: PolyCoeffs, mesh: Mesh, face_id: int,
     return poly.basis.eval(rule.points) @ poly.coeffs
 
 
+def _face_traces(poly: PolyCoeffs, mesh: Mesh, face_id: int,
+                 rule: QuadratureRule):
+    n, t = _face_frame(poly, mesh, face_id)
+    tab = poly.basis.tables(rule.points, FACE_ORDERS_3)
+    return face_derivatives({key: T @ poly.coeffs for key, T in tab.items()},
+                            n, t)
+
+
 def normal_derivative_on_face(poly: PolyCoeffs, mesh: Mesh, face_id: int,
                               rule: QuadratureRule) -> np.ndarray:
     """d_n with respect to the outward normal of the polynomial's cell."""
-    n, _ = _face_frame(poly, mesh, face_id)
-    gx = poly.basis.eval(rule.points, 1, 0) @ poly.coeffs
-    gy = poly.basis.eval(rule.points, 0, 1) @ poly.coeffs
-    return n[0] * gx + n[1] * gy
+    return _face_traces(poly, mesh, face_id, rule)[0]
 
 
 def hessian_traces_on_face(poly: PolyCoeffs, mesh: Mesh, face_id: int,
                            rule: QuadratureRule):
     """(d_nn, d_nt, d_n Laplacian) of the cell polynomial along a face."""
-    n, t = _face_frame(poly, mesh, face_id)
-    b = poly.basis
-    pts = rule.points
-    hxx = b.eval(pts, 2, 0) @ poly.coeffs
-    hxy = b.eval(pts, 1, 1) @ poly.coeffs
-    hyy = b.eval(pts, 0, 2) @ poly.coeffs
-    d_nn = n[0] * n[0] * hxx + 2 * n[0] * n[1] * hxy + n[1] * n[1] * hyy
-    d_nt = t[0] * n[0] * hxx + (t[0] * n[1] + t[1] * n[0]) * hxy + t[1] * n[1] * hyy
-    gxxx = b.eval(pts, 3, 0) @ poly.coeffs
-    gxxy = b.eval(pts, 2, 1) @ poly.coeffs
-    gxyy = b.eval(pts, 1, 2) @ poly.coeffs
-    gyyy = b.eval(pts, 0, 3) @ poly.coeffs
-    d_nlap = n[0] * (gxxx + gxyy) + n[1] * (gxxy + gyyy)
-    return d_nn, d_nt, d_nlap
+    return _face_traces(poly, mesh, face_id, rule)[2:]

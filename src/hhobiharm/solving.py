@@ -18,8 +18,9 @@ import scipy.sparse.linalg as spla
 
 from .common import DEFAULT_QUAD, SolverError
 from .assembly import CondensedSystem, HHOSolution, recover_cells
-from .polyspace import PolyCoeffs
-from .quadrature import cell_rule
+from .polyspace import (FACE_ORDERS_3, CellBasis, PolyCoeffs, face_derivatives,
+                        project_cell)
+from .quadrature import cell_rule, face_rule
 
 __all__ = ["SolveConfig", "ErrorReport", "RateTable", "solve",
            "reconstruct_field", "error_norms", "convergence_study",
@@ -229,44 +230,28 @@ def projection_gap_sharp_norm(mesh, k, case, quad=DEFAULT_QUAD) -> float:
     h |d_nt|^2 integrated over the cell boundary, summed over the mesh.  This
     is the quantity that drives the discretization error of smooth solutions.
     """
-    from .localops import _CellWork  # table machinery reused as-is
-    from .polyspace import project_cell
-    from .quadrature import face_rule
-
     total = np.zeros(mesh.n_cells)
     for c in range(mesh.n_cells):
-        work = _CellWork(mesh, c, "A", k, quad=quad)
+        b = CellBasis.for_cell(mesh, c, k + 2)
         crule = cell_rule(mesh, c, quad.cell_base(k) + quad.data_extra_degree)
-        proj = project_cell(case.u, work.rec_basis, crule).coeffs
+        proj = project_cell(case.u, b, crule).coeffs
         w = crule.weights
         H = np.asarray(case.hess(crule.points), dtype=np.float64)
-        dxx = H[:, 0] - work.rec_basis.eval(crule.points, 2, 0) @ proj
-        dxy = H[:, 1] - work.rec_basis.eval(crule.points, 1, 1) @ proj
-        dyy = H[:, 2] - work.rec_basis.eval(crule.points, 0, 2) @ proj
+        dxx = H[:, 0] - b.eval(crule.points, 2, 0) @ proj
+        dxy = H[:, 1] - b.eval(crule.points, 1, 1) @ proj
+        dyy = H[:, 2] - b.eval(crule.points, 0, 2) @ proj
         acc = w @ (dxx ** 2 + 2 * dxy ** 2 + dyy ** 2)
         h = mesh.cell_diameter[c]
-        for a, f in enumerate(mesh.cell_faces[c]):
+        for f in mesh.cell_faces[c]:
             rule = face_rule(mesh, f, quad.face_base(k) + quad.data_extra_degree)
-            n = mesh.outward_normal(c, f)
-            t = mesh.face_tangent[f]
-            b = work.rec_basis
             pts = rule.points
-            T = np.asarray(case.third(pts), dtype=np.float64)
-            Hx = np.asarray(case.hess(pts), dtype=np.float64)
-            pxx = b.eval(pts, 2, 0) @ proj
-            pxy = b.eval(pts, 1, 1) @ proj
-            pyy = b.eval(pts, 0, 2) @ proj
-            d_nn = (n[0] ** 2 * (Hx[:, 0] - pxx)
-                    + 2 * n[0] * n[1] * (Hx[:, 1] - pxy)
-                    + n[1] ** 2 * (Hx[:, 2] - pyy))
-            d_nt = (t[0] * n[0] * (Hx[:, 0] - pxx)
-                    + (t[0] * n[1] + t[1] * n[0]) * (Hx[:, 1] - pxy)
-                    + t[1] * n[1] * (Hx[:, 2] - pyy))
-            exxx = T[:, 0] - b.eval(pts, 3, 0) @ proj
-            exxy = T[:, 1] - b.eval(pts, 2, 1) @ proj
-            exyy = T[:, 2] - b.eval(pts, 1, 2) @ proj
-            eyyy = T[:, 3] - b.eval(pts, 0, 3) @ proj
-            d_nlap = n[0] * (exxx + exyy) + n[1] * (exxy + eyyy)
+            # Columns follow FACE_ORDERS_3 without (0, 0).
+            exact = np.hstack([case.grad(pts), case.hess(pts), case.third(pts)])
+            tab = b.tables(pts, FACE_ORDERS_3[1:])
+            gap = {key: exact[:, j] - tab[key] @ proj
+                   for j, key in enumerate(FACE_ORDERS_3[1:])}
+            _, _, d_nn, d_nt, d_nlap = face_derivatives(
+                gap, mesh.outward_normal(c, f), mesh.face_tangent[f])
             wq = rule.weights
             acc += h ** 3 * wq @ d_nlap ** 2
             acc += h * wq @ d_nn ** 2 + h * wq @ d_nt ** 2
@@ -275,8 +260,7 @@ def projection_gap_sharp_norm(mesh, k, case, quad=DEFAULT_QUAD) -> float:
 
 
 def solve_and_measure(mesh, variant, k, bc_mode, case, scaling="k2-all",
-                      quad=DEFAULT_QUAD, solve_cfg=SolveConfig(),
-                      threads: int = 1) -> tuple:
+                      quad=DEFAULT_QUAD, solve_cfg=SolveConfig()) -> tuple:
     """Assemble, solve, reconstruct, and measure one run.
 
     Returns (ErrorReport, HHOSolution, reconstructed field).
@@ -285,7 +269,7 @@ def solve_and_measure(mesh, variant, k, bc_mode, case, scaling="k2-all",
 
     bdata = None if case.homogeneous else BoundaryData.from_case(case)
     system = assemble(mesh, variant=variant, k=k, bc_mode=bc_mode, f=case.f,
-                      bdata=bdata, scaling=scaling, quad=quad, threads=threads)
+                      bdata=bdata, scaling=scaling, quad=quad)
     t0 = time.perf_counter()
     x = solve(system, solve_cfg)
     solve_time = time.perf_counter() - t0
@@ -299,16 +283,14 @@ def solve_and_measure(mesh, variant, k, bc_mode, case, scaling="k2-all",
 
 def convergence_study(meshes, variant, k, bc_mode, case, scaling="k2-all",
                       quad=DEFAULT_QUAD, solve_cfg=SolveConfig(),
-                      csv_path=None, threads: int = 1,
-                      progress=None) -> RateTable:
+                      csv_path=None, progress=None) -> RateTable:
     """Run a refinement family (coarse to fine) and fit convergence slopes."""
     reports = []
     try:
         for mesh in meshes:
             report, _, _ = solve_and_measure(mesh, variant, k, bc_mode, case,
                                              scaling=scaling, quad=quad,
-                                             solve_cfg=solve_cfg,
-                                             threads=threads)
+                                             solve_cfg=solve_cfg)
             reports.append(report)
             if progress is not None:
                 progress(report)

@@ -246,11 +246,3 @@ class TestOrientationInvariance:
             v1, v2 = fld1[c](pts), fld2[c](pts)
             assert np.allclose(v1, v2, atol=1e-10 * max(1.0, np.abs(v1).max()))
 
-
-class TestThreads:
-    def test_threaded_assembly_identical(self, vor16):
-        case = hb.get_case("1")
-        s1 = assemble(vor16, "A", 1, "strong", f=case.f, threads=1)
-        s4 = assemble(vor16, "A", 1, "strong", f=case.f, threads=4)
-        assert np.array_equal(s1.rhs, s4.rhs)
-        assert (s1.matrix != s4.matrix).nnz == 0

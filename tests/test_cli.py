@@ -1,6 +1,9 @@
 import csv
 
+import pytest
+
 import hhobiharm as hb
+import hhobiharm.cli as cli
 from hhobiharm.cli import main
 
 
@@ -131,3 +134,18 @@ class TestConfigHandling:
     def test_unknown_case_exit2(self, tmp_path):
         assert run(["solve", "--case", "bogus",
                     "--out-dir", str(tmp_path)]) == 2
+
+    def test_threads_key_is_unknown(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 2\n")
+        assert run(["solve", "--config", str(cfg)]) == 2
+
+    def test_internal_key_error_is_not_a_config_error(self, tmp_path,
+                                                      monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("face 3 carries no global unknowns")
+
+        monkeypatch.setattr(cli, "solve_and_measure", broken)
+        with pytest.raises(KeyError):
+            run(["solve", "--mesh-kind", "rect", "--n", "2",
+                 "--out-dir", str(tmp_path)])

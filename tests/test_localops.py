@@ -5,8 +5,8 @@ import scipy.linalg as sla
 import hhobiharm as hb
 from hhobiharm.common import ConfigError
 from hhobiharm.localops import (_CellWork, build_local_matrices,
-                                build_reconstruction, build_stabilization,
-                                build_nitsche_cell_ops, elliptic_projection_oracle,
+                                build_reconstruction, build_seminorm_gram,
+                                build_stabilization, elliptic_projection_oracle,
                                 local_seminorm, make_layout, reduce_cell,
                                 rigid_modes, space_degrees)
 from hhobiharm.polyspace import (CellBasis, FaceBasis, project_cell,
@@ -347,23 +347,23 @@ class TestLocalForm:
 
 class TestSeminorm:
     def test_affine_modes_are_kernel(self, vor16):
-        ops = build_local_matrices(vor16, 3, "A", 1, check_kernel=False)
-        scale = np.linalg.norm(ops.N)
-        for mode in rigid_modes(vor16, 3, ops.layout):
-            quad = mode @ ops.N @ mode
+        N = build_seminorm_gram(vor16, 3, "A", 1)
+        scale = np.linalg.norm(N)
+        for mode in rigid_modes(vor16, 3, make_layout(vor16, 3, "A", 1)):
+            quad = mode @ N @ mode
             assert abs(quad) < 1e-13 * scale * (mode @ mode)
 
     def test_single_face_constant_gamma_value(self, vor16):
         k, c = 1, 5
-        ops = build_local_matrices(vor16, c, "A", k, check_kernel=False)
-        lay = ops.layout
+        N = build_seminorm_gram(vor16, c, "A", k)
+        lay = make_layout(vor16, c, "A", k)
         f = vor16.cell_faces[c][0]
         cval = 1.3
         vhat = np.zeros(lay.n_total)
         vhat[lay.normal_slice(0).start] = cval
         expected = np.sqrt(cval ** 2 * vor16.face_length[f]
                            / vor16.cell_diameter[c])
-        assert local_seminorm(ops, vhat) == pytest.approx(expected, rel=1e-12)
+        assert local_seminorm(N, vhat) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["A", "B"])
     def test_spectral_equivalence_stable_under_refinement(self, variant):
@@ -379,7 +379,7 @@ class TestSeminorm:
             Z = rigid_modes(mesh, c, ops.layout)
             Q = sla.null_space(Z)
             Aq = Q.T @ ops.A @ Q
-            Nq = Q.T @ ops.N @ Q
+            Nq = Q.T @ build_seminorm_gram(mesh, c, variant, k) @ Q
             ev = sla.eigvalsh(Aq, Nq)
             bounds.append((ev.min(), ev.max()))
         mins = [b[0] for b in bounds]
@@ -397,7 +397,8 @@ class TestNitscheOps:
                                for f in vor16.cell_faces[c])]
         c = interior[0]
         std = build_local_matrices(vor16, c, "A", 1, check_kernel=False)
-        nit = build_nitsche_cell_ops(vor16, c, 1, check_kernel=False)
+        nit = build_local_matrices(vor16, c, "A", 1, nitsche=True,
+                                   check_kernel=False)
         assert np.allclose(std.A, nit.A, rtol=1e-14, atol=1e-14)
         assert np.allclose(nit.lifting, 0.0)
 
@@ -406,7 +407,7 @@ class TestNitscheOps:
                     if any(vor16.is_boundary_face[f]
                            for f in vor16.cell_faces[c])]
         c = boundary[0]
-        ops = build_nitsche_cell_ops(vor16, c, 1, bdata=None)
+        ops = build_local_matrices(vor16, c, "A", 1, nitsche=True, bdata=None)
         assert np.allclose(ops.lifting, 0.0)
         assert np.allclose(ops.load_boundary, 0.0)
 
@@ -432,12 +433,32 @@ class TestNitscheOps:
             scale = max(np.linalg.norm(load1), 1.0)
             assert np.linalg.norm(load1 - load2) <= 1e-10 * scale
 
+    def test_boundary_data_sampled_once_per_face(self, vor16, monkeypatch):
+        calls = []
+        dirichlet = hb.BoundaryData.dirichlet
+
+        def counted(self, pts):
+            calls.append(len(pts))
+            return dirichlet(self, pts)
+
+        monkeypatch.setattr(hb.BoundaryData, "dirichlet", counted)
+        bdata = hb.BoundaryData.from_case(hb.get_case("2"))
+        boundary = [c for c in range(vor16.n_cells)
+                    if any(vor16.is_boundary_face[f]
+                           for f in vor16.cell_faces[c])]
+        for c in boundary:
+            n_boundary = sum(bool(vor16.is_boundary_face[f])
+                             for f in vor16.cell_faces[c])
+            calls.clear()
+            build_local_matrices(vor16, c, "A", 1, nitsche=True, bdata=bdata)
+            assert len(calls) == n_boundary
+
     def test_boundary_cell_kernel_zero(self, vor16):
         boundary = [c for c in range(vor16.n_cells)
                     if any(vor16.is_boundary_face[f]
                            for f in vor16.cell_faces[c])]
         for c in boundary[:3]:
-            build_nitsche_cell_ops(vor16, c, 1)  # check_kernel expects 0
+            build_local_matrices(vor16, c, "A", 1, nitsche=True)  # kernel 0
 
 
 class TestCellBlockInvertibility:

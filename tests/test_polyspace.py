@@ -4,7 +4,7 @@ import pytest
 import hhobiharm as hb
 from hhobiharm.polyspace import (CellBasis, FaceBasis, PolyCoeffs,
                                  canonical_interp_face, canonical_interp_matrix,
-                                 cell_mass_matrix,
+                                 cell_mass_matrix, face_derivatives,
                                  project_cell, project_face, space_dim,
                                  tangential_derivative)
 from hhobiharm.quadrature import cell_rule, face_rule, segment_rule
@@ -292,6 +292,26 @@ class TestCanonicalInterpolation:
 
 
 class TestTraces:
+    def test_face_derivatives_tables_match_samples(self, vor16):
+        # one helper serves basis tables and sampled exact derivatives alike
+        case = hb.random_polynomial_case(4, seed=3)
+        c = 5
+        b = CellBasis.for_cell(vor16, c, 4)
+        coeffs = project_cell(case.u, b, cell_rule(vor16, c, 10)).coeffs
+        orders = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+                  (3, 0), (2, 1), (1, 2), (0, 3)]
+        for f in vor16.cell_faces[c]:
+            n, t = vor16.outward_normal(c, f), vor16.face_tangent[f]
+            pts = face_rule(vor16, f, 6).points
+            exact = np.hstack([case.grad(pts), case.hess(pts), case.third(pts)])
+            samples = {key: exact[:, j] for j, key in enumerate(orders)}
+            tab = b.tables(pts, orders)
+            for D, d in zip(face_derivatives(tab, n, t),
+                            face_derivatives(samples, n, t)):
+                assert np.allclose(D @ coeffs, d, atol=1e-10)
+            no_third = {key: tab[key] for key in orders[:5]}
+            assert face_derivatives(no_third, n, t)[4] is None
+
     def test_x2_on_right_face_of_unit_square(self):
         m = hb.build_rect_mesh(1, 1)
         b = CellBasis.for_cell(m, 0, 2)
