@@ -23,10 +23,10 @@ import scipy.sparse as sp
 
 from .common import DEFAULT_QUAD, AssemblyError, ConfigError
 from .localops import build_local_matrices, space_degrees
-from .mesh import Mesh
+from .mesh import CellShape, Mesh, translation_classes
 from .polyspace import (CellBasis, FaceBasis, canonical_interp_face,
                         project_face)
-from .quadrature import cell_rule, face_rule
+from .quadrature import QuadratureRule, cell_rule, face_rule
 
 __all__ = ["BoundaryData", "DofMap", "CondensedSystem", "CellRecovery",
            "assemble", "recover_cells", "HHOSolution"]
@@ -127,7 +127,14 @@ class DofMap:
 
 @dataclass
 class CellRecovery:
-    """Everything needed to recover and reconstruct one cell after the solve."""
+    """Everything needed to recover and reconstruct one cell after the solve.
+
+    A cell that shares its operators with a translation class keeps R,
+    lifting, chol_TT and A_Trest by reference.  Its local vectors are then in
+    the frame of the class shape, where every face runs along the cell's loop:
+    rest_sign and rest_fixed also negate the odd face monomials of the faces
+    stored against the loop.
+    """
     cell_id: int
     layout: object
     rec_basis: object
@@ -226,23 +233,81 @@ def _prescribe_boundary(mesh, variant, k, bdata, quad):
     return out
 
 
-def _cell_contribution(mesh, c, variant, k, bc_mode, f_load, bdata, scaling,
-                       quad, prescribed, dofmap):
-    nitsche = bc_mode == "nitsche"
-    ops = build_local_matrices(mesh, c, variant=variant, k=k, scaling=scaling,
+@dataclass
+class _Condensed:
+    """Local operators of a cell with its cell block eliminated.
+
+    Built on a mesh cell or on a `CellShape`, which one instance then serves
+    for a whole translation class.  The load rule and table are None when
+    there is no load.
+    """
+    layout: object
+    rec_basis: CellBasis
+    R: np.ndarray
+    lifting: Optional[np.ndarray]
+    load_boundary: Optional[np.ndarray]
+    chol_TT: tuple
+    A_Trest: np.ndarray
+    S_rr: np.ndarray
+    load_rule: Optional[QuadratureRule]
+    load_table: Optional[np.ndarray]
+
+
+def _condense(geom, c, variant, k, nitsche, bdata, scaling, quad, with_load,
+              cell_id):
+    """Build the local operators of cell c of `geom` and eliminate the cell block."""
+    ops = build_local_matrices(geom, c, variant=variant, k=k, scaling=scaling,
                                nitsche=nitsche, bdata=bdata, quad=quad,
                                check_kernel=False)
-    lay = ops.layout
+    nc = ops.layout.cell_dim
+    A = ops.A
+    A_Trest = A[:nc, nc:]
+    try:
+        chol = sla.cho_factor(A[:nc, :nc])
+    except sla.LinAlgError as err:
+        raise AssemblyError(f"cell {cell_id}: singular cell block in static "
+                            f"condensation") from err
+    Y = sla.cho_solve(chol, A_Trest)
+    S_rr = A[nc:, nc:] - A_Trest.T @ Y
+    S_rr = 0.5 * (S_rr + S_rr.T)
+    rule = table = None
+    if with_load:
+        rule = cell_rule(geom, c, quad.cell_base(k) + quad.rhs_extra_degree)
+        cb = CellBasis.for_cell(geom, c, space_degrees(variant, k)[0])
+        table = cb.eval(rule.points)
+    return _Condensed(ops.layout, ops.rec_basis, ops.R, ops.lifting,
+                      ops.load_boundary, chol, A_Trest, S_rr, rule, table)
+
+
+def _face_flips(layout, signs):
+    """+-1 per rest dof, from the cell's own frame to the frame of its shape.
+
+    A face stored against the cell's loop runs the other way in the shape, so
+    its odd monomials change sign, in the trace and in the normal block.
+    """
+    dims = layout.trace_dims + layout.normal_dims
+    return np.concatenate([float(s) ** np.arange(d)
+                           for s, d in zip(list(signs) * 2, dims)])
+
+
+def _cell_contribution(mesh, c, loc, offset, f_load, prescribed, dofmap):
+    """Load, boundary bookkeeping, rhs condensation and scatter data of a cell.
+
+    `offset` is None when `loc` was built on the cell itself, and otherwise
+    the translation that carries the class shape of `loc` onto the cell.
+    """
+    lay = loc.layout
     nc = lay.cell_dim
 
     b = np.zeros(lay.n_total)
     if f_load is not None:
-        rule = cell_rule(mesh, c, quad.cell_base(k) + quad.rhs_extra_degree)
-        cb = CellBasis.for_cell(mesh, c, space_degrees(variant, k)[0])
-        vals = np.asarray(f_load(rule.points), dtype=np.float64)
-        b[lay.cell_slice] = cb.eval(rule.points).T @ (rule.weights * vals)
-    if nitsche and ops.load_boundary is not None:
-        b += ops.load_boundary
+        pts = loc.load_rule.points
+        if offset is not None:
+            pts = pts + offset
+        vals = np.asarray(f_load(pts), dtype=np.float64)
+        b[lay.cell_slice] = loc.load_table.T @ (loc.load_rule.weights * vals)
+    if loc.load_boundary is not None:
+        b += loc.load_boundary
 
     # Rest-block bookkeeping: global index, orientation sign, prescribed value.
     n_rest = lay.n_total - nc
@@ -263,31 +328,26 @@ def _cell_contribution(mesh, c, variant, k, bc_mode, f_load, bdata, scaling,
             tr, nm = prescribed[f]
             fixed[t0:t0 + lay.trace_dims[a]] = tr
             fixed[n0:n0 + lay.normal_dims[a]] = mesh.cell_signs[c][a] * nm
+    rec_basis = loc.rec_basis
+    if offset is not None:
+        flip = _face_flips(lay, mesh.cell_signs[c])
+        sign *= flip
+        fixed *= flip
+        rec_basis = CellBasis(offset, rec_basis.scale, rec_basis.degree,
+                              cell_id=c)
 
-    A = ops.A
-    A_TT = A[:nc, :nc]
-    A_Trest = A[:nc, nc:]
-    try:
-        chol = sla.cho_factor(A_TT)
-    except sla.LinAlgError as err:
-        raise AssemblyError(f"cell {c}: singular cell block in static "
-                            f"condensation") from err
-    Y = sla.cho_solve(chol, A_Trest)
-    S_rr = A[nc:, nc:] - A_Trest.T @ Y
-    S_rr = 0.5 * (S_rr + S_rr.T)
-    g_r = b[nc:] - A_Trest.T @ sla.cho_solve(chol, b[:nc])
-
+    g_r = b[nc:] - loc.A_Trest.T @ sla.cho_solve(loc.chol_TT, b[:nc])
     unk = gidx >= 0
-    S_uu = S_rr[np.ix_(unk, unk)]
-    rhs_u = g_r[unk] - S_rr[np.ix_(unk, ~unk)] @ fixed[~unk]
+    S_uu = loc.S_rr[np.ix_(unk, unk)]
+    rhs_u = g_r[unk] - loc.S_rr[np.ix_(unk, ~unk)] @ fixed[~unk]
     s_u = sign[unk]
     S_glob = S_uu * np.outer(s_u, s_u)
     rhs_glob = s_u * rhs_u
 
-    rec = CellRecovery(cell_id=c, layout=lay, rec_basis=ops.rec_basis, R=ops.R,
-                       lifting=ops.lifting, chol_TT=chol, A_Trest=A_Trest,
-                       b_T=b[:nc], rest_gidx=gidx, rest_sign=sign,
-                       rest_fixed=fixed)
+    rec = CellRecovery(cell_id=c, layout=lay, rec_basis=rec_basis, R=loc.R,
+                       lifting=loc.lifting, chol_TT=loc.chol_TT,
+                       A_Trest=loc.A_Trest, b_T=b[:nc], rest_gidx=gidx,
+                       rest_sign=sign, rest_fixed=fixed)
     return gidx[unk], S_glob, rhs_glob, rec
 
 
@@ -296,22 +356,46 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
              scaling: str = "k2-all", quad=DEFAULT_QUAD) -> CondensedSystem:
     """Assemble the statically condensed global system.
 
-    Per cell: build the local operators, integrate the load against the cell
-    basis, apply the face orientation signs, eliminate the cell block through
-    its Cholesky factorization, and scatter the Schur complement.  In strong
-    mode, boundary-face unknowns are prescribed from the boundary data
-    (canonical interpolation of g_D, L^2 projection of g_N) and moved to the
-    right-hand side.  The result is symmetric positive definite.
+    The local operators are built once per translation class of cells (see
+    `translation_classes`), on the class shape centered at the origin: the
+    reconstruction, the local form, the Cholesky factor of its cell block,
+    the Schur complement and the load table.  A cell without a translate,
+    and in Nitsche mode a cell on the boundary, whose data terms depend on
+    where it is, builds its own.  Per cell: integrate the load at the
+    translated points, apply the face orientation signs (for a shared build
+    also the exact +-1 flips of the faces stored against the cell's loop),
+    eliminate the cell block from the right-hand side, and scatter the Schur
+    complement.  In strong mode, boundary-face unknowns are prescribed from
+    the boundary data (canonical interpolation of g_D, L^2 projection of
+    g_N) and moved to the right-hand side.  The result is symmetric positive
+    definite.
     """
     t0 = time.perf_counter()
     dofmap = DofMap.create(mesh, variant, k, bc_mode)
+    nitsche = bc_mode == "nitsche"
     prescribed = {}
     if bc_mode == "strong":
         prescribed = _prescribe_boundary(mesh, variant, k, bdata, quad)
 
-    results = [_cell_contribution(mesh, c, variant, k, bc_mode, f, bdata,
-                                  scaling, quad, prescribed, dofmap)
-               for c in range(mesh.n_cells)]
+    labels = translation_classes(mesh)
+    own = labels < 0
+    if nitsche:
+        own[mesh.face_cells[mesh.is_boundary_face, 0]] = True
+    build = (variant, k, nitsche, bdata, scaling, quad, f is not None)
+    shapes, shared = {}, {}
+    results = []
+    for c in range(mesh.n_cells):
+        lab = labels[c]
+        if lab >= 0 and lab not in shapes:
+            shapes[lab] = CellShape(mesh, c)
+        if own[c]:
+            loc, offset = _condense(mesh, c, *build, cell_id=c), None
+        else:
+            if lab not in shared:
+                shared[lab] = _condense(shapes[lab], 0, *build, cell_id=c)
+            loc, offset = shared[lab], shapes[lab].offset(mesh, c)
+        results.append(_cell_contribution(mesh, c, loc, offset, f,
+                                          prescribed, dofmap))
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofmap.n_dofs)

@@ -18,8 +18,9 @@ conditions enter through a boundary penalty on the cell unknown and a lifting
 of the boundary data.
 
 Local vectors are ordered [cell | face traces in loop order | face normals in
-loop order].  All builders are pure functions of (mesh, cell, config) and can
-run fully in parallel over cells.
+loop order].  All builders are pure functions of (mesh, cell, config) that
+read only the geometry of that one cell, so they also accept a `CellShape`:
+assembly builds them once per translation class of cells.
 """
 
 from dataclasses import dataclass
@@ -31,9 +32,9 @@ import scipy.linalg as sla
 from .common import DEFAULT_QUAD, AssemblyError, ConfigError, stab_factors
 from .mesh import Mesh
 from .polyspace import (FACE_ORDERS_2, FACE_ORDERS_3, CellBasis, FaceBasis,
-                        PolyCoeffs, canonical_interp_face,
-                        canonical_interp_matrix, face_derivatives,
-                        project_cell, project_face, space_dim)
+                        PolyCoeffs, canonical_interp_face, face_derivatives,
+                        project_cell, project_face, reference_interp_matrix,
+                        space_dim)
 from .quadrature import cell_rule, face_rule
 
 __all__ = [
@@ -211,7 +212,7 @@ class _CellWork:
         PN = sla.solve(Mf[:k + 1, :k + 1], Psi[:, :k + 1].T @ (w[:, None] * Dn),
                        assume_a="pos")
         # Variant B penalizes plain L^2 traces and never reads J.
-        J = None if self.variant == "B" else canonical_interp_matrix(fb, k, rule)
+        J = None if self.variant == "B" else reference_interp_matrix(k, fb.degree)
 
         return dict(face=f, sign=sgn, rule=rule, w=w, n=n_out, t=t,
                     basis=fb, Psi=Psi, dPsi=dPsi, Mf=Mf, V=V, Dn=Dn, Dt=Dt,

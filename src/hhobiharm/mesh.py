@@ -17,14 +17,18 @@ from scipy.spatial import Voronoi, cKDTree
 from scipy.spatial._qhull import QhullError
 
 __all__ = [
-    "Mesh", "SubTriangulation", "ValidationReport",
+    "Mesh", "CellShape", "SubTriangulation", "ValidationReport",
     "MeshError", "MeshFormatError",
     "build_rect_mesh", "build_tri_mesh", "build_voronoi_mesh",
     "build_polygon_mesh", "load_mesh", "save_mesh", "validate",
-    "subtriangulate", "with_flipped_face",
+    "subtriangulate", "translation_classes", "with_flipped_face",
 ]
 
 MESH_FORMAT = "hho-mesh-v1"
+
+# Relative tolerance of `translation_classes`: vertex offsets in units of the
+# cell diameter, and diameters.
+SHAPE_TOL = 1e-12
 
 
 class MeshError(ValueError):
@@ -289,6 +293,96 @@ class Mesh:
                 fs.append(f)
             cell_faces.append(fs)
         return Mesh(vertices, np.array(face_vertices, dtype=np.int64), cell_faces)
+
+
+class CellShape:
+    """One mesh cell moved so that its centroid is the origin, as cell 0 of a
+    one-cell mesh.
+
+    It carries the `Mesh` attributes that the per-cell builders read (the
+    quadrature rules, the bases and the local operators), without the cost of
+    building and checking a `Mesh`.  Face a runs from loop vertex a to loop
+    vertex a+1, so every sign is +1, and no face is on the boundary.
+    Operators built on it serve every cell of the translation class.
+    """
+
+    def __init__(self, mesh: Mesh, c: int):
+        verts = mesh.vertices[mesh.cell_loops[c]] - mesh.cell_centroid[c]
+        faces = mesh.cell_faces[c]
+        sgn = mesh.cell_signs[c][:, None]
+        m = len(verts)
+        ids = np.arange(m)
+        nxt = np.roll(ids, -1)
+        self.vertices = verts
+        self.face_vertices = np.column_stack([ids, nxt])
+        self.face_length = mesh.face_length[faces]
+        self.face_tangent = sgn * mesh.face_tangent[faces]
+        self.face_normal = sgn * mesh.face_normal[faces]
+        self.face_midpoint = 0.5 * (verts + verts[nxt])
+        self.is_boundary_face = np.zeros(m, dtype=bool)
+        self.cell_faces = [ids]
+        self.cell_signs = [np.ones(m, dtype=np.int64)]
+        self.cell_loops = [ids]
+        self.cell_centroid = np.zeros((1, 2))
+        self.cell_diameter = mesh.cell_diameter[c:c + 1]
+
+    def cell_polygon(self, c: int) -> np.ndarray:
+        return self.vertices
+
+    def offset(self, mesh: Mesh, c: int) -> np.ndarray:
+        """Translation that carries this shape onto cell c of `mesh`, first
+        vertex onto first vertex."""
+        return mesh.vertices[mesh.cell_loops[c][0]] - self.vertices[0]
+
+
+def translation_classes(mesh: Mesh) -> np.ndarray:
+    """Translation class of every cell that has a translate in the mesh.
+
+    Returns one label per cell: -1 for a cell with no translate, and
+    otherwise the class number, with classes numbered in the order of their
+    first cells.
+
+    A cell joins the class of the first cell whose vertex loop, taken
+    relative to its first vertex, agrees with its own in loop order to
+    SHAPE_TOL times that first cell's diameter, and whose diameter agrees to
+    SHAPE_TOL relative.  The stored face orientations play no part.  The key
+    is not taken relative to the centroid: the shoelace centroid of a small
+    cell far from the origin is off by up to 3e-10 h (rect 200x200).
+    """
+    n = mesh.n_cells
+    labels = np.full(n, -1, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    sizes = np.array([len(loop) for loop in mesh.cell_loops])
+    # Per cell: position in its vertex-count group, and the window of that
+    # group's cells sorted by diameter whose diameters agree with its own.
+    pos, lo, hi = (np.empty(n, dtype=np.int64) for _ in range(3))
+    groups = {}
+    for m in np.unique(sizes):
+        ids = np.nonzero(sizes == m)[0]
+        loops = np.array([mesh.cell_loops[c] for c in ids])
+        offsets = mesh.vertices[loops] - mesh.vertices[loops[:, :1]]
+        h = mesh.cell_diameter[ids]
+        by_h = np.argsort(h, kind="stable")
+        pos[ids] = np.arange(len(ids))
+        lo[ids] = np.searchsorted(h[by_h], h * (1 - SHAPE_TOL), side="left")
+        hi[ids] = np.searchsorted(h[by_h], h * (1 + SHAPE_TOL), side="right")
+        groups[m] = (ids, offsets.reshape(len(ids), -1), h, by_h)
+    count = 0
+    for c in range(n):
+        if done[c] or hi[c] - lo[c] == 1:
+            continue
+        ids, offsets, h, by_h = groups[sizes[c]]
+        i = pos[c]
+        cand = by_h[lo[c]:hi[c]]
+        cand = cand[~done[ids[cand]]]
+        close = (np.abs(offsets[cand] - offsets[i]).max(axis=1)
+                 <= SHAPE_TOL * h[i])
+        members = ids[cand[close]]
+        done[members] = True
+        if len(members) > 1:
+            labels[members] = count
+            count += 1
+    return labels
 
 
 # -- generators --------------------------------------------------------------

@@ -12,17 +12,19 @@ tangential derivative through the L^2 projection onto P^k.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 
 from .mesh import Mesh, MeshError
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, segment_rule
 
 __all__ = [
     "CellBasis", "FaceBasis", "PolyCoeffs", "space_dim",
     "cell_mass_matrix", "project_cell", "project_face",
     "canonical_interp_face", "canonical_interp_matrix",
+    "reference_interp_matrix",
     "tangential_derivative", "tangential_derivative_matrix",
     "face_derivatives", "trace_on_face", "normal_derivative_on_face",
     "hessian_traces_on_face",
@@ -275,6 +277,24 @@ def canonical_interp_matrix(src: FaceBasis, k: int, rule: QuadratureRule,
     D_t = _canonical_dof_rows(target, k, rule, weight_basis)
     D_s = _canonical_dof_rows(src, k, rule, weight_basis)
     return sla.solve(D_t, D_s)
+
+
+@lru_cache(maxsize=64)
+def reference_interp_matrix(k: int, degree: int) -> np.ndarray:
+    """`canonical_interp_matrix` from P^degree, valid on every face (read-only).
+
+    The matrix does not depend on the face: in the scaled face basis the
+    endpoint rows are the same on every face and the moment rows all scale
+    with its length.  It is built once on the reference face [-1/2, 1/2].
+    """
+    src = FaceBasis(np.zeros(2), np.array([1.0, 0.0]), 1.0, degree)
+    # Exact for the moments of P^{k-1} against P^max(degree, k+1).
+    ref = segment_rule((k + max(degree, k + 1)) // 2 + 1)
+    pts = np.column_stack([ref.points - 0.5, np.zeros(ref.n_points)])
+    rule = QuadratureRule(pts, ref.weights, ref.exact_degree)
+    J = canonical_interp_matrix(src, k, rule)
+    J.flags.writeable = False
+    return J
 
 
 def canonical_interp_face(v, k: int, basis: FaceBasis, rule: QuadratureRule,

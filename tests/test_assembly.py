@@ -140,6 +140,31 @@ class TestAssembleStructure:
         assert rep.err_h2_rel < 1e-10
 
 
+@pytest.fixture(scope="module")
+def rect43():
+    return hb.build_rect_mesh(4, 3)
+
+
+@pytest.fixture(scope="module")
+def tri3():
+    return hb.build_tri_mesh(3)
+
+
+@pytest.fixture(scope="module")
+def rect43_flipped(rect43):
+    return hb.with_flipped_face(rect43, int(rect43.interior_faces()[4]))
+
+
+# Meshes whose cells share their operators with a translation class, under
+# every (variant, bc) pair and k = 0..3.
+SHARED_BUILDS = [(mesh, variant, k, bc)
+                 for mesh in ("rect43", "tri3", "rect43_flipped")
+                 for variant, bc in (("A", "strong"), ("B", "strong"),
+                                     ("C", "strong"), ("A", "nitsche"),
+                                     ("B", "nitsche"))
+                 for k in range(4)]
+
+
 class TestDenseSchurOracle:
     @pytest.mark.parametrize("mesh_name,variant,k,bc", [
         ("rect22", "A", 0, "strong"),
@@ -149,7 +174,7 @@ class TestDenseSchurOracle:
         ("vor16", "A", 1, "strong"),
         ("vor16", "A", 1, "nitsche"),
         ("vor16", "B", 0, "nitsche"),
-    ])
+    ] + SHARED_BUILDS)
     def test_condensed_matrix_matches_dense_elimination(
             self, mesh_name, variant, k, bc, request):
         mesh = request.getfixturevalue(mesh_name)
@@ -162,6 +187,26 @@ class TestDenseSchurOracle:
         scale = np.linalg.norm(S)
         assert np.linalg.norm(got - S) <= 1e-10 * scale
         assert np.linalg.norm(sys_.rhs - g) <= 1e-10 * max(np.linalg.norm(g), 1.0)
+
+    @pytest.mark.parametrize("bc", ["strong", "nitsche"])
+    def test_operators_built_once_per_class(self, rect43_flipped, bc,
+                                            monkeypatch):
+        import hhobiharm.assembly as assembly_mod
+
+        calls = []
+
+        def counting(mesh, c, **kw):
+            calls.append(c)
+            return build_local_matrices(mesh, c, **kw)
+
+        monkeypatch.setattr(assembly_mod, "build_local_matrices", counting)
+        mesh = rect43_flipped
+        assemble(mesh, "A", 1, bc, f=hb.get_case("2").f)
+        # One build for the single class; in Nitsche mode each of the ten
+        # boundary cells builds its own.
+        on_boundary = len(set(mesh.face_cells[mesh.boundary_faces(), 0]))
+        assert on_boundary == 10
+        assert len(calls) == (1 if bc == "strong" else 1 + on_boundary)
 
     def test_recovered_cells_match_dense_solve(self, rect22):
         case = hb.get_case("2")

@@ -240,3 +240,41 @@ class TestFlip:
         f = int(vor16.boundary_faces()[0])
         with pytest.raises(MeshError):
             hb.with_flipped_face(vor16, f)
+
+
+class TestTranslationClasses:
+    def test_voronoi_cells_have_no_translates(self, vor64):
+        assert np.all(hb.translation_classes(vor64) == -1)
+
+    @pytest.mark.parametrize("mesh", [hb.build_rect_mesh(8, 8),
+                                      hb.build_tri_mesh(4)])
+    def test_uniform_meshes_have_at_most_two_classes(self, mesh):
+        labels = hb.translation_classes(mesh)
+        assert np.all(labels >= 0)
+        assert 1 <= len(np.unique(labels)) <= 2
+
+    def test_translates_share_a_class_whatever_the_face_orientation(self):
+        mesh = hb.build_rect_mesh(3, 1)
+        interface = int(mesh.interior_faces()[1])
+        for m in (mesh, hb.with_flipped_face(mesh, interface)):
+            labels = hb.translation_classes(m)
+            assert labels[0] >= 0 and np.all(labels == labels[0])
+            signs = {tuple(s) for s in m.cell_signs}
+            assert len(signs) > 1
+
+    @pytest.mark.parametrize("shift,splits", [(1e-9, True), (1e-14, False)])
+    def test_moving_a_vertex_splits_the_class(self, shift, splits):
+        mesh = hb.build_rect_mesh(3, 3)
+        h = mesh.cell_diameter[0]
+        verts = np.array(mesh.vertices)
+        v = 5                      # interior vertex shared by cells 0, 1, 3, 4
+        verts[v] += shift * h * np.array([1.0, 0.5])
+        moved = hb.Mesh.from_cell_loops(verts, [list(l) for l in mesh.cell_loops])
+        labels = hb.translation_classes(moved)
+        near = [0, 1, 3, 4]
+        far = [2, 5, 6, 7, 8]
+        assert np.all(labels[far] == labels[far[0]]) and labels[far[0]] >= 0
+        if splits:
+            assert np.all(labels[near] == -1)
+        else:
+            assert np.all(labels == labels[0])

@@ -5,7 +5,8 @@ import hhobiharm as hb
 from hhobiharm.polyspace import (CellBasis, FaceBasis, PolyCoeffs,
                                  canonical_interp_face, canonical_interp_matrix,
                                  cell_mass_matrix, face_derivatives,
-                                 project_cell, project_face, space_dim,
+                                 project_cell, project_face,
+                                 reference_interp_matrix, space_dim,
                                  tangential_derivative)
 from hhobiharm.quadrature import cell_rule, face_rule, segment_rule
 
@@ -267,6 +268,15 @@ class TestCanonicalInterpolation:
             Mm = canonical_interp_matrix(src, k, rule, weight_basis="monomial")
             Ml = canonical_interp_matrix(src, k, rule, weight_basis="legendre")
             assert np.allclose(Mm, Ml, rtol=1e-11, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_reference_matrix_serves_every_face(self, k, vor16):
+        J = reference_interp_matrix(k, k + 2)
+        assert not J.flags.writeable
+        for f in range(vor16.n_faces):
+            src = FaceBasis.for_face(vor16, f, k + 2)
+            got = canonical_interp_matrix(src, k, face_rule(vor16, f, 2 * k + 5))
+            assert np.allclose(J, got, rtol=0.0, atol=1e-12 * np.abs(got).max())
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_bisection_decay_rate(self, k):

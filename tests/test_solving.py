@@ -76,6 +76,29 @@ class TestErrorNorms:
         assert report.err_h2_rel < 1e-11
         assert report.err_l2_rel < 1e-11
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_shared_rule_matches_per_cell_quadrature(self, k):
+        from hhobiharm.quadrature import cell_rule
+        mesh = hb.build_rect_mesh(4, 3)
+        assert np.all(hb.translation_classes(mesh) == 0)
+        case = hb.get_case("2")
+        _, _, fld = hb.solve_and_measure(mesh, "A", k, "strong", case)
+        got = error_norms(mesh, fld, case, k)
+        e = np.zeros((4, mesh.n_cells))
+        for c in range(mesh.n_cells):
+            rule = cell_rule(mesh, c, 2 * (k + 2) + 4)
+            p, w, b = rule.points, rule.weights, fld[c].basis
+            H = np.asarray(case.hess(p))
+            dv = b.eval(p) @ fld[c].coeffs - case.u(p)
+            dH = [b.eval(p, *d) @ fld[c].coeffs - H[:, j]
+                  for j, d in enumerate([(2, 0), (1, 1), (0, 2)])]
+            e[:, c] = [w @ (dH[0] ** 2 + 2 * dH[1] ** 2 + dH[2] ** 2),
+                       w @ (H[:, 0] ** 2 + 2 * H[:, 1] ** 2 + H[:, 2] ** 2),
+                       w @ dv ** 2, w @ case.u(p) ** 2]
+        s = np.sqrt(e.sum(axis=1))
+        assert got.err_h2_rel == pytest.approx(s[0] / s[1], rel=1e-13)
+        assert got.err_l2_rel == pytest.approx(s[2] / s[3], rel=1e-13)
+
     def test_norm_quadrature_sinsq(self):
         # || sin^2(pi x) sin^2(pi y) ||_{L2}^2 = 9/64
         mesh = hb.build_rect_mesh(8, 8)
