@@ -8,9 +8,9 @@ the Nitsche boundary penalty, in which case boundary faces carry no unknowns
 at all.
 
 Interior faces carry 2k+3 unknowns each for variants A and C and 2k+4 for
-variant B.  The per-cell orientation signs are applied to the
-normal-derivative blocks during scatter, so the global unknowns are tied to
-the fixed face normals.
+variant B.  The global unknowns are tied to the stored face orientations and
+the local vectors to each cell's loop frame; one +-1 per local face unknown
+carries the one into the other during scatter and gather.
 """
 
 import time
@@ -22,10 +22,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .common import DEFAULT_QUAD, AssemblyError, ConfigError
-from .localops import build_local_matrices, space_degrees
-from .mesh import CellShape, Mesh, translation_classes
-from .polyspace import (CellBasis, FaceBasis, canonical_interp_face,
-                        project_face)
+from .localops import (LocalOperators, build_local_matrices, reduce_face,
+                       space_degrees)
+from .mesh import CellShape, Mesh, class_members, translation_classes
+from .polyspace import CellBasis
 from .quadrature import QuadratureRule, cell_rule, face_rule
 
 __all__ = ["BoundaryData", "DofMap", "CondensedSystem", "CellRecovery",
@@ -78,6 +78,14 @@ class BoundaryData:
         raise ConfigError("Nitsche boundary data needs the full gradient of "
                           "the Dirichlet datum; supply grad= to BoundaryData")
 
+    def translated(self, offset):
+        """The same data, taking points relative to `offset`."""
+        def shift(fn):
+            return None if fn is None else (
+                lambda pts, *args: fn(pts + offset, *args))
+        return BoundaryData(shift(self._g_D), shift(self._g_N),
+                            shift(self._grad))
+
 
 @dataclass(frozen=True)
 class DofMap:
@@ -129,11 +137,13 @@ class DofMap:
 class CellRecovery:
     """Everything needed to recover and reconstruct one cell after the solve.
 
-    A cell that shares its operators with a translation class keeps R,
-    lifting, chol_TT and A_Trest by reference.  Its local vectors are then in
-    the frame of the class shape, where every face runs along the cell's loop:
-    rest_sign and rest_fixed also negate the odd face monomials of the faces
-    stored against the loop.
+    R, lifting, chol_TT and A_Trest belong to the cell's translation class
+    and are shared by reference.  Local vectors are in the cell's loop frame,
+    where every face runs along the cell's vertex loop and rec_basis is
+    centered at the translate of the class shape's origin.  rest_sign carries
+    a global face value into that frame: s^j on the j-th trace monomial and
+    s^(j+1) on the j-th normal monomial, s the stored face sign; rest_fixed
+    holds the prescribed values already in that frame.
     """
     cell_id: int
     layout: object
@@ -156,9 +166,6 @@ class CellRecovery:
     def cell_coeffs(self, x: np.ndarray) -> np.ndarray:
         rest = self.gather_rest(x)
         return sla.cho_solve(self.chol_TT, self.b_T - self.A_Trest @ rest)
-
-    def local_vector(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.cell_coeffs(x), self.gather_rest(x)])
 
 
 @dataclass
@@ -189,6 +196,8 @@ class HHOSolution:
     cell_coeffs: list = field(default_factory=list)
 
     def local_vector(self, cell_id: int) -> np.ndarray:
+        """Local unknowns of a cell in its loop frame (see `CellRecovery`),
+        the frame of its R and lifting."""
         rec = self.system.cells[cell_id]
         return np.concatenate([self.cell_coeffs[cell_id],
                                rec.gather_rest(self.face_values)])
@@ -213,39 +222,27 @@ class HHOSolution:
 def _prescribe_boundary(mesh, variant, k, bdata, quad):
     """Boundary face -> (trace coefficients, normal coefficients) from the data."""
     _, trace_deg, normal_deg = space_degrees(variant, k)
-    out = {}
     fdeg = quad.face_base(k) + quad.bc_extra_degree
+    out = {}
     for f in mesh.boundary_faces():
-        rule = face_rule(mesh, f, fdeg)
-        n_F = mesh.face_normal[f]
         if bdata is None:
             out[f] = (np.zeros(trace_deg + 1), np.zeros(normal_deg + 1))
             continue
-        if variant == "B":
-            tb = FaceBasis.for_face(mesh, f, trace_deg)
-            tr = project_face(bdata.dirichlet, tb, rule).coeffs
-        else:
-            tb = FaceBasis.for_face(mesh, f, k + 1)
-            tr = canonical_interp_face(bdata.dirichlet, k, tb, rule).coeffs
-        nb = FaceBasis.for_face(mesh, f, normal_deg)
-        nm = project_face(lambda p: bdata.neumann(p, n_F), nb, rule).coeffs
-        out[f] = (tr, nm)
+        n_F = mesh.face_normal[f]
+        out[f] = reduce_face(mesh, f, bdata.dirichlet,
+                             lambda p: bdata.neumann(p, n_F), variant, k,
+                             face_rule(mesh, f, fdeg))
     return out
 
 
 @dataclass
 class _Condensed:
-    """Local operators of a cell with its cell block eliminated.
+    """Local operators of a translation class with the cell block eliminated.
 
-    Built on a mesh cell or on a `CellShape`, which one instance then serves
-    for a whole translation class.  The load rule and table are None when
+    Built on the class's `CellShape`.  The load rule and table are None when
     there is no load.
     """
-    layout: object
-    rec_basis: CellBasis
-    R: np.ndarray
-    lifting: Optional[np.ndarray]
-    load_boundary: Optional[np.ndarray]
+    ops: LocalOperators
     chol_TT: tuple
     A_Trest: np.ndarray
     S_rr: np.ndarray
@@ -253,15 +250,15 @@ class _Condensed:
     load_table: Optional[np.ndarray]
 
 
-def _condense(geom, c, variant, k, nitsche, bdata, scaling, quad, with_load,
+def _condense(shape, variant, k, nitsche, bdata, scaling, quad, with_load,
               cell_id):
-    """Build the local operators of cell c of `geom` and eliminate the cell block."""
-    ops = build_local_matrices(geom, c, variant=variant, k=k, scaling=scaling,
+    """Build the local operators of a class shape and eliminate the cell block."""
+    ops = build_local_matrices(shape, 0, variant=variant, k=k, scaling=scaling,
                                nitsche=nitsche, bdata=bdata, quad=quad,
                                check_kernel=False)
     nc = ops.layout.cell_dim
     A = ops.A
-    A_Trest = A[:nc, nc:]
+    A_Trest = A[:nc, nc:].copy()     # a view would keep all of A alive
     try:
         chol = sla.cho_factor(A[:nc, :nc])
     except sla.LinAlgError as err:
@@ -272,69 +269,52 @@ def _condense(geom, c, variant, k, nitsche, bdata, scaling, quad, with_load,
     S_rr = 0.5 * (S_rr + S_rr.T)
     rule = table = None
     if with_load:
-        rule = cell_rule(geom, c, quad.cell_base(k) + quad.rhs_extra_degree)
-        cb = CellBasis.for_cell(geom, c, space_degrees(variant, k)[0])
+        rule = cell_rule(shape, 0, quad.cell_base(k) + quad.rhs_extra_degree)
+        cb = CellBasis.for_cell(shape, 0, space_degrees(variant, k)[0])
         table = cb.eval(rule.points)
-    return _Condensed(ops.layout, ops.rec_basis, ops.R, ops.lifting,
-                      ops.load_boundary, chol, A_Trest, S_rr, rule, table)
-
-
-def _face_flips(layout, signs):
-    """+-1 per rest dof, from the cell's own frame to the frame of its shape.
-
-    A face stored against the cell's loop runs the other way in the shape, so
-    its odd monomials change sign, in the trace and in the normal block.
-    """
-    dims = layout.trace_dims + layout.normal_dims
-    return np.concatenate([float(s) ** np.arange(d)
-                           for s, d in zip(list(signs) * 2, dims)])
+    return _Condensed(ops, chol, A_Trest, S_rr, rule, table)
 
 
 def _cell_contribution(mesh, c, loc, offset, f_load, prescribed, dofmap):
     """Load, boundary bookkeeping, rhs condensation and scatter data of a cell.
 
-    `offset` is None when `loc` was built on the cell itself, and otherwise
-    the translation that carries the class shape of `loc` onto the cell.
+    `loc` is its class build and `offset` the translation that carries the
+    class shape onto the cell.
     """
-    lay = loc.layout
+    ops = loc.ops
+    lay = ops.layout
     nc = lay.cell_dim
 
     b = np.zeros(lay.n_total)
     if f_load is not None:
-        pts = loc.load_rule.points
-        if offset is not None:
-            pts = pts + offset
-        vals = np.asarray(f_load(pts), dtype=np.float64)
+        vals = np.asarray(f_load(loc.load_rule.points + offset),
+                          dtype=np.float64)
         b[lay.cell_slice] = loc.load_table.T @ (loc.load_rule.weights * vals)
-    if loc.load_boundary is not None:
-        b += loc.load_boundary
+    if ops.load_boundary is not None:
+        b += ops.load_boundary
 
-    # Rest-block bookkeeping: global index, orientation sign, prescribed value.
+    # Rest-block bookkeeping: global index, prescribed value, and the sign
+    # from the stored face orientation s to the loop frame.  A face stored
+    # against the loop runs the other way there, so its odd monomials change
+    # sign, and its normal block also takes the orientation s.
     n_rest = lay.n_total - nc
     gidx = np.full(n_rest, -1, dtype=np.int64)
     sign = np.ones(n_rest)
     fixed = np.zeros(n_rest)
     for a, f in enumerate(mesh.cell_faces[c]):
-        if lay.trace_dims[a] == 0:
+        td, nd = lay.trace_dims[a], lay.normal_dims[a]
+        if td == 0:
             continue
-        tsl = lay.trace_slice(a)
-        nsl = lay.normal_slice(a)
-        t0, n0 = tsl.start - nc, nsl.start - nc
+        t0, n0 = lay.trace_slice(a).start - nc, lay.normal_slice(a).start - nc
+        s = float(mesh.cell_signs[c][a])
+        sign[t0:t0 + td] = s ** np.arange(td)
+        sign[n0:n0 + nd] = s ** np.arange(1, nd + 1)
         if dofmap.face_offset[f] >= 0:
-            gidx[t0:t0 + lay.trace_dims[a]] = dofmap.trace_dofs(f)
-            gidx[n0:n0 + lay.normal_dims[a]] = dofmap.normal_dofs(f)
-            sign[n0:n0 + lay.normal_dims[a]] = mesh.cell_signs[c][a]
+            gidx[t0:t0 + td] = dofmap.trace_dofs(f)
+            gidx[n0:n0 + nd] = dofmap.normal_dofs(f)
         else:
-            tr, nm = prescribed[f]
-            fixed[t0:t0 + lay.trace_dims[a]] = tr
-            fixed[n0:n0 + lay.normal_dims[a]] = mesh.cell_signs[c][a] * nm
-    rec_basis = loc.rec_basis
-    if offset is not None:
-        flip = _face_flips(lay, mesh.cell_signs[c])
-        sign *= flip
-        fixed *= flip
-        rec_basis = CellBasis(offset, rec_basis.scale, rec_basis.degree,
-                              cell_id=c)
+            fixed[t0:t0 + td], fixed[n0:n0 + nd] = prescribed[f]
+    fixed *= sign
 
     g_r = b[nc:] - loc.A_Trest.T @ sla.cho_solve(loc.chol_TT, b[:nc])
     unk = gidx >= 0
@@ -344,8 +324,10 @@ def _cell_contribution(mesh, c, loc, offset, f_load, prescribed, dofmap):
     S_glob = S_uu * np.outer(s_u, s_u)
     rhs_glob = s_u * rhs_u
 
-    rec = CellRecovery(cell_id=c, layout=lay, rec_basis=rec_basis, R=loc.R,
-                       lifting=loc.lifting, chol_TT=loc.chol_TT,
+    rec_basis = CellBasis(offset, ops.rec_basis.scale, ops.rec_basis.degree,
+                          cell_id=c)
+    rec = CellRecovery(cell_id=c, layout=lay, rec_basis=rec_basis, R=ops.R,
+                       lifting=ops.lifting, chol_TT=loc.chol_TT,
                        A_Trest=loc.A_Trest, b_T=b[:nc], rest_gidx=gidx,
                        rest_sign=sign, rest_fixed=fixed)
     return gidx[unk], S_glob, rhs_glob, rec
@@ -356,19 +338,20 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
              scaling: str = "k2-all", quad=DEFAULT_QUAD) -> CondensedSystem:
     """Assemble the statically condensed global system.
 
-    The local operators are built once per translation class of cells (see
-    `translation_classes`), on the class shape centered at the origin: the
-    reconstruction, the local form, the Cholesky factor of its cell block,
-    the Schur complement and the load table.  A cell without a translate,
-    and in Nitsche mode a cell on the boundary, whose data terms depend on
-    where it is, builds its own.  Per cell: integrate the load at the
-    translated points, apply the face orientation signs (for a shared build
-    also the exact +-1 flips of the faces stored against the cell's loop),
-    eliminate the cell block from the right-hand side, and scatter the Schur
-    complement.  In strong mode, boundary-face unknowns are prescribed from
-    the boundary data (canonical interpolation of g_D, L^2 projection of
-    g_N) and moved to the right-hand side.  The result is symmetric positive
-    definite.
+    Works one translation class of cells (see `translation_classes`) at a
+    time.  The local operators are built once per class, on its `CellShape`
+    centered at the origin: the reconstruction, the local form, the Cholesky
+    factor of its cell block, the Schur complement and the load table.  In
+    Nitsche mode each boundary cell is a class of one, since its data terms
+    depend on where it is; its boundary data is evaluated at the translated
+    points.  Per member cell: integrate the load at the translated points,
+    carry the face unknowns between the stored orientation and the cell's
+    loop frame with an exact +-1 per unknown, eliminate the cell block from
+    the right-hand side, and scatter the Schur complement.  The class build
+    is dropped before the next class starts.  In strong mode, boundary-face
+    unknowns are prescribed from the boundary data (canonical interpolation
+    of g_D, L^2 projection of g_N) and moved to the right-hand side.  The
+    result is symmetric positive definite.
     """
     t0 = time.perf_counter()
     dofmap = DofMap.create(mesh, variant, k, bc_mode)
@@ -378,24 +361,20 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
         prescribed = _prescribe_boundary(mesh, variant, k, bdata, quad)
 
     labels = translation_classes(mesh)
-    own = labels < 0
     if nitsche:
-        own[mesh.face_cells[mesh.is_boundary_face, 0]] = True
-    build = (variant, k, nitsche, bdata, scaling, quad, f is not None)
-    shapes, shared = {}, {}
-    results = []
-    for c in range(mesh.n_cells):
-        lab = labels[c]
-        if lab >= 0 and lab not in shapes:
-            shapes[lab] = CellShape(mesh, c)
-        if own[c]:
-            loc, offset = _condense(mesh, c, *build, cell_id=c), None
-        else:
-            if lab not in shared:
-                shared[lab] = _condense(shapes[lab], 0, *build, cell_id=c)
-            loc, offset = shared[lab], shapes[lab].offset(mesh, c)
-        results.append(_cell_contribution(mesh, c, loc, offset, f,
-                                          prescribed, dofmap))
+        on_boundary = np.unique(mesh.face_cells[mesh.is_boundary_face, 0])
+        labels[on_boundary] = labels.max() + 1 + np.arange(len(on_boundary))
+    results = [None] * mesh.n_cells
+    for members in class_members(labels):
+        shape = CellShape(mesh, members[0])
+        data = (None if bdata is None
+                else bdata.translated(shape.offset(mesh, members[0])))
+        loc = _condense(shape, variant, k, nitsche, data, scaling, quad,
+                        f is not None, cell_id=members[0])
+        for c in members:
+            results[c] = _cell_contribution(mesh, c, loc,
+                                            shape.offset(mesh, c), f,
+                                            prescribed, dofmap)
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(dofmap.n_dofs)

@@ -19,8 +19,9 @@ of the boundary data.
 
 Local vectors are ordered [cell | face traces in loop order | face normals in
 loop order].  All builders are pure functions of (mesh, cell, config) that
-read only the geometry of that one cell, so they also accept a `CellShape`:
-assembly builds them once per translation class of cells.
+read only the geometry of that one cell, so they also accept a `CellShape`,
+which is how assembly calls them: once per translation class of cells, in
+the loop frame of the class shape.
 """
 
 from dataclasses import dataclass
@@ -40,7 +41,8 @@ from .quadrature import cell_rule, face_rule
 __all__ = [
     "LocalDofLayout", "LocalOperators", "make_layout",
     "build_reconstruction", "build_stabilization", "build_seminorm_gram",
-    "build_local_matrices", "reduce_cell", "elliptic_projection_oracle",
+    "build_local_matrices", "reduce_cell", "reduce_face",
+    "elliptic_projection_oracle",
     "local_seminorm", "rigid_modes", "space_degrees",
 ]
 
@@ -481,37 +483,45 @@ def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
                           lifting=lifting, load_boundary=load_boundary)
 
 
+def reduce_face(mesh, f, u, dn_u, variant, k, rule):
+    """Trace and normal-derivative unknowns of face f, in its stored orientation.
+
+    The trace is the L^2 projection of u onto P^{k+2}(F) (variant B) or its
+    canonical hybrid interpolation onto P^{k+1}(F) (variants A, C); the normal
+    block is the L^2 projection of dn_u = n_F . grad u onto P^k(F).
+    """
+    _, trace_deg, normal_deg = space_degrees(variant, k)
+    tb = FaceBasis.for_face(mesh, f, trace_deg)
+    if variant == "B":
+        tr = project_face(u, tb, rule).coeffs
+    else:
+        tr = canonical_interp_face(u, k, tb, rule).coeffs
+    nb = FaceBasis.for_face(mesh, f, normal_deg)
+    return tr, project_face(dn_u, nb, rule).coeffs
+
+
 def reduce_cell(mesh, cell_id, u, grad, variant="A", k=1, nitsche=False,
                 quad=DEFAULT_QUAD) -> np.ndarray:
     """Reduction of a smooth function onto the local unknown triple.
 
-    The cell block is the L^2 projection; trace blocks use the canonical
-    hybrid interpolation (variants A, C) or the L^2 projection (variant B);
-    normal blocks are L^2 projections of n_F . grad, computed in the global
-    face orientation and then signed into the cell-local view.
+    The cell block is the L^2 projection; the face blocks come from
+    `reduce_face`, with the normal blocks signed into the cell-local view.
     """
     layout = make_layout(mesh, cell_id, variant, k, nitsche)
-    cell_deg, trace_deg, _ = space_degrees(variant, k)
     out = np.zeros(layout.n_total)
 
     crule = cell_rule(mesh, cell_id, quad.cell_base(k) + quad.data_extra_degree)
-    cb = CellBasis.for_cell(mesh, cell_id, cell_deg)
+    cb = CellBasis.for_cell(mesh, cell_id, space_degrees(variant, k)[0])
     out[layout.cell_slice] = project_cell(u, cb, crule).coeffs
 
     fdeg = quad.face_base(k) + quad.data_extra_degree
     for a, f in enumerate(mesh.cell_faces[cell_id]):
         if layout.trace_dims[a] == 0:
             continue
-        rule = face_rule(mesh, f, fdeg)
-        if variant == "B":
-            tb = FaceBasis.for_face(mesh, f, trace_deg)
-            out[layout.trace_slice(a)] = project_face(u, tb, rule).coeffs
-        else:
-            tb = FaceBasis.for_face(mesh, f, k + 1)
-            out[layout.trace_slice(a)] = canonical_interp_face(u, k, tb, rule).coeffs
-        nb = FaceBasis.for_face(mesh, f, k)
         n_F = mesh.face_normal[f]
-        gamma = project_face(lambda p: np.asarray(grad(p)) @ n_F, nb, rule).coeffs
+        tr, gamma = reduce_face(mesh, f, u, lambda p: np.asarray(grad(p)) @ n_F,
+                                variant, k, face_rule(mesh, f, fdeg))
+        out[layout.trace_slice(a)] = tr
         out[layout.normal_slice(a)] = mesh.cell_signs[cell_id][a] * gamma
     return out
 

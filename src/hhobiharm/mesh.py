@@ -21,7 +21,8 @@ __all__ = [
     "MeshError", "MeshFormatError",
     "build_rect_mesh", "build_tri_mesh", "build_voronoi_mesh",
     "build_polygon_mesh", "load_mesh", "save_mesh", "validate",
-    "subtriangulate", "translation_classes", "with_flipped_face",
+    "subtriangulate", "translation_classes", "class_members",
+    "with_flipped_face",
 ]
 
 MESH_FORMAT = "hho-mesh-v1"
@@ -93,16 +94,21 @@ def _loop_from_faces(face_vertices, face_ids, cell_id):
 
 
 def _polygon_area_centroid(pts):
-    """Signed area and centroid of a polygon given by its vertex coordinates."""
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    """Signed area and centroid of a polygon given by its vertex coordinates.
+
+    The shoelace sums run relative to the first vertex: in absolute
+    coordinates a small cell far from the origin loses digits to cancellation.
+    """
+    rel = pts - pts[0]
+    x, y = rel.T
+    xn, yn = np.roll(rel, -1, axis=0).T
     cross = x * yn - xn * y
     area = 0.5 * np.sum(cross)
     if abs(area) < 1e-300:
         return area, pts.mean(axis=0)
     cx = np.sum((x + xn) * cross) / (6.0 * area)
     cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return area, np.array([cx, cy])
+    return area, pts[0] + np.array([cx, cy])
 
 
 class Mesh:
@@ -302,7 +308,9 @@ class CellShape:
     It carries the `Mesh` attributes that the per-cell builders read (the
     quadrature rules, the bases and the local operators), without the cost of
     building and checking a `Mesh`.  Face a runs from loop vertex a to loop
-    vertex a+1, so every sign is +1, and no face is on the boundary.
+    vertex a+1, so every sign is +1: this is the cell's loop frame.  The
+    boundary flags are those of the cell's faces in the mesh; a boundary face
+    is stored along the loop, so its normal points out of the domain here too.
     Operators built on it serve every cell of the translation class.
     """
 
@@ -312,14 +320,14 @@ class CellShape:
         sgn = mesh.cell_signs[c][:, None]
         m = len(verts)
         ids = np.arange(m)
-        nxt = np.roll(ids, -1)
+        nxt = (ids + 1) % m
         self.vertices = verts
         self.face_vertices = np.column_stack([ids, nxt])
         self.face_length = mesh.face_length[faces]
         self.face_tangent = sgn * mesh.face_tangent[faces]
         self.face_normal = sgn * mesh.face_normal[faces]
         self.face_midpoint = 0.5 * (verts + verts[nxt])
-        self.is_boundary_face = np.zeros(m, dtype=bool)
+        self.is_boundary_face = mesh.is_boundary_face[faces]
         self.cell_faces = [ids]
         self.cell_signs = [np.ones(m, dtype=np.int64)]
         self.cell_loops = [ids]
@@ -336,22 +344,20 @@ class CellShape:
 
 
 def translation_classes(mesh: Mesh) -> np.ndarray:
-    """Translation class of every cell that has a translate in the mesh.
+    """Translation class of every cell: one label per cell.
 
-    Returns one label per cell: -1 for a cell with no translate, and
-    otherwise the class number, with classes numbered in the order of their
-    first cells.
+    Classes are numbered 0, 1, ... in the order of their first cells; a cell
+    with no translate in the mesh is a class of one.
 
     A cell joins the class of the first cell whose vertex loop, taken
     relative to its first vertex, agrees with its own in loop order to
     SHAPE_TOL times that first cell's diameter, and whose diameter agrees to
     SHAPE_TOL relative.  The stored face orientations play no part.  The key
-    is not taken relative to the centroid: the shoelace centroid of a small
-    cell far from the origin is off by up to 3e-10 h (rect 200x200).
+    is taken relative to the first vertex, a mesh coordinate, and not to the
+    centroid, which is computed and carries its own rounding error.
     """
     n = mesh.n_cells
     labels = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
     sizes = np.array([len(loop) for loop in mesh.cell_loops])
     # Per cell: position in its vertex-count group, and the window of that
     # group's cells sorted by diameter whose diameters agree with its own.
@@ -369,20 +375,24 @@ def translation_classes(mesh: Mesh) -> np.ndarray:
         groups[m] = (ids, offsets.reshape(len(ids), -1), h, by_h)
     count = 0
     for c in range(n):
-        if done[c] or hi[c] - lo[c] == 1:
+        if labels[c] >= 0:
             continue
         ids, offsets, h, by_h = groups[sizes[c]]
         i = pos[c]
         cand = by_h[lo[c]:hi[c]]
-        cand = cand[~done[ids[cand]]]
-        close = (np.abs(offsets[cand] - offsets[i]).max(axis=1)
-                 <= SHAPE_TOL * h[i])
-        members = ids[cand[close]]
-        done[members] = True
-        if len(members) > 1:
-            labels[members] = count
-            count += 1
+        if len(cand) > 1:        # else c alone has its diameter
+            cand = cand[labels[ids[cand]] < 0]
+            cand = cand[np.abs(offsets[cand] - offsets[i]).max(axis=1)
+                        <= SHAPE_TOL * h[i]]
+        labels[ids[cand]] = count
+        count += 1
     return labels
+
+
+def class_members(labels: np.ndarray) -> list:
+    """Cell ids of each class of a labelling, in ascending label order."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 # -- generators --------------------------------------------------------------

@@ -55,6 +55,24 @@ def _falling(a, p):
     return out
 
 
+@lru_cache(maxsize=256)
+def _deriv_factors(degree: int, order: tuple):
+    """Derivative `order` of the unscaled monomials of `degree` (read-only).
+
+    `order` has one entry per variable: (dx, dy) for the graded cell
+    monomials, (m,) for the face monomials s^j.  Returns the product of the
+    falling factorials of each monomial and its remaining exponents, one
+    column per variable.
+    """
+    exps = (_exponents(degree) if len(order) == 2
+            else np.arange(degree + 1)[:, None])
+    coeff = np.prod([_falling(e, p) for e, p in zip(exps.T, order)], axis=0)
+    rest = np.maximum(exps - np.array(order), 0)
+    for arr in (coeff, rest):
+        arr.flags.writeable = False
+    return coeff, rest
+
+
 class CellBasis:
     """Scaled monomial basis ((x-c)/h)^ax ((y-c)/h)^ay, |alpha| <= degree."""
 
@@ -65,17 +83,6 @@ class CellBasis:
         self.cell_id = cell_id
         self.exponents = _exponents(degree)
         self.dim = len(self.exponents)
-        self._deriv_cache = {}
-
-    def _deriv_data(self, dx, dy):
-        got = self._deriv_cache.get((dx, dy))
-        if got is None:
-            ax, ay = self.exponents[:, 0], self.exponents[:, 1]
-            coeff = (_falling(ax, dx) * _falling(ay, dy)
-                     / self.scale ** (dx + dy))
-            got = (coeff, np.maximum(ax - dx, 0), np.maximum(ay - dy, 0))
-            self._deriv_cache[(dx, dy)] = got
-        return got
 
     @classmethod
     def for_cell(cls, mesh: Mesh, cell_id: int, degree: int):
@@ -101,8 +108,9 @@ class CellBasis:
             Yp[:, i] = Yp[:, i - 1] * Y
         out = {}
         for dx, dy in orders:
-            coeff, ex, ey = self._deriv_data(dx, dy)
-            out[(dx, dy)] = coeff[None, :] * Xp[:, ex] * Yp[:, ey]
+            coeff, rest = _deriv_factors(deg, (dx, dy))
+            coeff = coeff / self.scale ** (dx + dy)
+            out[(dx, dy)] = coeff[None, :] * Xp[:, rest[:, 0]] * Yp[:, rest[:, 1]]
         return out
 
     def eval(self, pts, dx: int = 0, dy: int = 0) -> np.ndarray:
@@ -146,16 +154,6 @@ class FaceBasis:
         self.degree = int(degree)
         self.face_id = face_id
         self.dim = degree + 1
-        self._deriv_cache = {}
-
-    def _deriv_data(self, order):
-        got = self._deriv_cache.get(order)
-        if got is None:
-            j = np.arange(self.dim)
-            got = (_falling(j, order) / self.length ** order,
-                   np.maximum(j - order, 0))
-            self._deriv_cache[order] = got
-        return got
 
     @classmethod
     def for_face(cls, mesh: Mesh, face_id: int, degree: int):
@@ -170,12 +168,13 @@ class FaceBasis:
     def eval_param(self, s, order: int = 0) -> np.ndarray:
         """Table of the order-th tangential derivative at parameters s."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        coeff, ej = self._deriv_data(order)
+        coeff, rest = _deriv_factors(self.degree, (order,))
+        coeff = coeff / self.length ** order
         Sp = np.empty((len(s), self.dim))
         Sp[:, 0] = 1.0
         for i in range(1, self.dim):
             Sp[:, i] = Sp[:, i - 1] * s
-        return coeff[None, :] * Sp[:, ej]
+        return coeff[None, :] * Sp[:, rest[:, 0]]
 
     def eval(self, pts, order: int = 0) -> np.ndarray:
         return self.eval_param(self.param(pts), order)

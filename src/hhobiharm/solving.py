@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .common import DEFAULT_QUAD, SolverError
 from .assembly import CondensedSystem, HHOSolution, recover_cells
-from .mesh import CellShape, translation_classes
+from .mesh import CellShape, class_members, translation_classes
 from .polyspace import (FACE_ORDERS_3, CellBasis, PolyCoeffs, face_derivatives,
                         project_cell)
 from .quadrature import cell_rule, face_rule
@@ -183,9 +183,7 @@ def reconstruct_field(system: CondensedSystem, solution) -> list:
         solution = recover_cells(system, solution)
     out = []
     for rec in system.cells:
-        local = np.concatenate([solution.cell_coeffs[rec.cell_id],
-                                rec.gather_rest(solution.face_values)])
-        coeffs = rec.R @ local
+        coeffs = rec.R @ solution.local_vector(rec.cell_id)
         if system.bc_mode == "nitsche" and rec.lifting is not None:
             coeffs = coeffs + rec.lifting
         out.append(PolyCoeffs(rec.rec_basis, coeffs))
@@ -196,52 +194,46 @@ def error_norms(mesh, fld, case, k, quad=DEFAULT_QUAD, dofs=0,
                 assembly_time=0.0, solve_time=0.0) -> ErrorReport:
     """Relative broken-Hessian and L^2 errors of a reconstructed field.
 
-    A translation class of cells (see `translation_classes`) shares one cell
-    rule, built on its shape, and the basis tables of the fields whose basis
-    sits on that shape carried onto the cell, as `assemble` builds them.
+    Works one translation class of cells (see `translation_classes`) at a
+    time: the class shares one cell rule, built on its `CellShape`, and the
+    basis tables of the fields whose basis sits on that shape carried onto
+    the cell, as `assemble` builds them.  Other fields get per-cell tables.
     """
     deg = quad.cell_base(k) + quad.error_extra_degree
     orders = [(0, 0), (2, 0), (1, 1), (0, 2)]
-    labels = translation_classes(mesh)
-    shared = {}
     e_h2 = np.zeros(mesh.n_cells)
     e_l2 = np.zeros(mesh.n_cells)
     n_h2 = np.zeros(mesh.n_cells)
     n_l2 = np.zeros(mesh.n_cells)
-    for c in range(mesh.n_cells):
-        poly = fld[c]
-        basis = poly.basis
-        tab = None
-        if labels[c] < 0:
-            rule = cell_rule(mesh, c, deg)
-            pts = rule.points
-        else:
-            if labels[c] not in shared:
-                shape = CellShape(mesh, c)
-                shared[labels[c]] = (shape, cell_rule(shape, 0, deg), {})
-            shape, rule, tables = shared[labels[c]]
+    for members in class_members(translation_classes(mesh)):
+        shape = CellShape(mesh, members[0])
+        rule = cell_rule(shape, 0, deg)
+        h, w = shape.cell_diameter[0], rule.weights
+        tables = {}
+        for c in members:
+            poly = fld[c]
+            basis = poly.basis
             offset = shape.offset(mesh, c)
             pts = rule.points + offset
-            h = shape.cell_diameter[0]
             if basis.scale == h and np.array_equal(basis.center, offset):
-                tab = tables.get(basis.degree)
-                if tab is None:
-                    tab = tables[basis.degree] = CellBasis(
+                if basis.degree not in tables:
+                    tables[basis.degree] = CellBasis(
                         np.zeros(2), h, basis.degree).tables(rule.points, orders)
-        if tab is None:
-            tab = basis.tables(pts, orders)
-        w = rule.weights
-        uex = np.asarray(case.u(pts), dtype=np.float64)
-        hex_ = np.asarray(case.hess(pts), dtype=np.float64)
-        vals = tab[(0, 0)] @ poly.coeffs
-        hxx = tab[(2, 0)] @ poly.coeffs
-        hxy = tab[(1, 1)] @ poly.coeffs
-        hyy = tab[(0, 2)] @ poly.coeffs
-        e_l2[c] = w @ (vals - uex) ** 2
-        n_l2[c] = w @ uex ** 2
-        e_h2[c] = w @ ((hxx - hex_[:, 0]) ** 2 + 2 * (hxy - hex_[:, 1]) ** 2
-                       + (hyy - hex_[:, 2]) ** 2)
-        n_h2[c] = w @ (hex_[:, 0] ** 2 + 2 * hex_[:, 1] ** 2 + hex_[:, 2] ** 2)
+                tab = tables[basis.degree]
+            else:
+                tab = basis.tables(pts, orders)
+            uex = np.asarray(case.u(pts), dtype=np.float64)
+            hex_ = np.asarray(case.hess(pts), dtype=np.float64)
+            vals = tab[(0, 0)] @ poly.coeffs
+            hxx = tab[(2, 0)] @ poly.coeffs
+            hxy = tab[(1, 1)] @ poly.coeffs
+            hyy = tab[(0, 2)] @ poly.coeffs
+            e_l2[c] = w @ (vals - uex) ** 2
+            n_l2[c] = w @ uex ** 2
+            e_h2[c] = w @ ((hxx - hex_[:, 0]) ** 2 + 2 * (hxy - hex_[:, 1]) ** 2
+                           + (hyy - hex_[:, 2]) ** 2)
+            n_h2[c] = w @ (hex_[:, 0] ** 2 + 2 * hex_[:, 1] ** 2
+                           + hex_[:, 2] ** 2)
     h2_den = np.sqrt(np.sum(n_h2))
     l2_den = np.sqrt(np.sum(n_l2))
     return ErrorReport(

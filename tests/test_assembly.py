@@ -5,6 +5,7 @@ import scipy.linalg as sla
 import hhobiharm as hb
 from hhobiharm.assembly import BoundaryData, DofMap, assemble, recover_cells
 from hhobiharm.localops import build_local_matrices, space_degrees
+from hhobiharm.mesh import CellShape
 from hhobiharm.polyspace import CellBasis
 from hhobiharm.quadrature import cell_rule
 
@@ -208,18 +209,45 @@ class TestDenseSchurOracle:
         assert on_boundary == 10
         assert len(calls) == (1 if bc == "strong" else 1 + on_boundary)
 
-    def test_recovered_cells_match_dense_solve(self, rect22):
+    @pytest.mark.parametrize("bc", ["strong", "nitsche"])
+    def test_operators_built_only_on_class_shapes(self, vor16, bc,
+                                                  monkeypatch):
+        import hhobiharm.assembly as assembly_mod
+
+        calls = []
+
+        def recording(geom, c, **kw):
+            calls.append((type(geom), c))
+            return build_local_matrices(geom, c, **kw)
+
+        monkeypatch.setattr(assembly_mod, "build_local_matrices", recording)
         case = hb.get_case("2")
-        variant, k = "A", 1
-        A, b, offsets, dm, _ = dense_full_system(rect22, variant, k,
-                                                 "strong", case)
+        assemble(vor16, "A", 1, bc, f=case.f,
+                 bdata=BoundaryData.from_case(case))
+        # Every Voronoi cell is a class of one, built on its shape.
+        assert calls == [(CellShape, 0)] * vor16.n_cells
+
+    # The Nitsche inputs cover classes of one whose boundary data is
+    # evaluated at translated points: every vor16 cell, and the ten boundary
+    # cells of rect43_flipped.
+    @pytest.mark.parametrize("mesh_name,variant,bc", [
+        ("rect22", "A", "strong"),
+        ("vor16", "A", "nitsche"),
+        ("rect43_flipped", "B", "nitsche"),
+    ])
+    def test_recovered_cells_match_dense_solve(self, mesh_name, variant, bc,
+                                               request):
+        mesh = request.getfixturevalue(mesh_name)
+        case = hb.get_case("2")
+        k = 1
+        A, b, offsets, dm, _ = dense_full_system(mesh, variant, k, bc, case)
         x_full = sla.solve(A, b, assume_a="pos")
-        sys_ = assemble(rect22, variant, k, "strong", f=case.f,
+        sys_ = assemble(mesh, variant, k, bc, f=case.f,
                         bdata=BoundaryData.from_case(case))
         x_faces = hb.solve(sys_)
         assert np.allclose(x_faces, x_full[offsets[-1]:], atol=1e-9)
         sol = recover_cells(sys_, x_faces)
-        for c in range(rect22.n_cells):
+        for c in range(mesh.n_cells):
             dense_cell = x_full[offsets[c]:offsets[c + 1]]
             assert np.allclose(sol.cell_coeffs[c], dense_cell, atol=1e-9)
 

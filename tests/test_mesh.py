@@ -25,6 +25,13 @@ class TestRectMesh:
     def test_4x4_diameters(self, rect44):
         assert np.allclose(rect44.cell_diameter, np.sqrt(2.0) / 4.0)
 
+    def test_centroids_keep_their_digits_far_from_the_origin(self):
+        # Small cells far from the origin: shoelace sums taken in absolute
+        # coordinates lose digits to cancellation.
+        m = hb.build_rect_mesh(200, 200)
+        mean = m.vertices[np.array(m.cell_loops)].mean(axis=1)
+        assert np.abs(m.cell_centroid - mean).max() <= 1e-13 * m.h_max
+
     def test_bad_args(self):
         with pytest.raises(MeshError):
             hb.build_rect_mesh(0, 3)
@@ -244,7 +251,9 @@ class TestFlip:
 
 class TestTranslationClasses:
     def test_voronoi_cells_have_no_translates(self, vor64):
-        assert np.all(hb.translation_classes(vor64) == -1)
+        # Every cell is a class of one, numbered in cell order.
+        labels = hb.translation_classes(vor64)
+        assert np.array_equal(labels, np.arange(64))
 
     @pytest.mark.parametrize("mesh", [hb.build_rect_mesh(8, 8),
                                       hb.build_tri_mesh(4)])
@@ -273,8 +282,11 @@ class TestTranslationClasses:
         labels = hb.translation_classes(moved)
         near = [0, 1, 3, 4]
         far = [2, 5, 6, 7, 8]
-        assert np.all(labels[far] == labels[far[0]]) and labels[far[0]] >= 0
+        assert np.all(labels[far] == labels[far[0]])
         if splits:
-            assert np.all(labels[near] == -1)
+            # Four classes of one, numbered in the order of their first cells.
+            assert len(set(labels[near])) == 4
+            assert set(labels[near]).isdisjoint(labels[far])
+            assert np.array_equal(labels, [0, 1, 2, 3, 4, 2, 2, 2, 2])
         else:
             assert np.all(labels == labels[0])
