@@ -7,8 +7,7 @@ reduces every solve to a symmetric positive definite system on the face
 unknowns by static condensation.
 """
 
-from .common import (AssemblyError, ConfigError, NumericalError, QuadSettings,
-                     SolverError, DEFAULT_QUAD)
+from .common import AssemblyError, ConfigError, NumericalError, SolverError
 from .mesh import (Mesh, MeshError, MeshFormatError,
                    SubTriangulation, ValidationReport, build_polygon_mesh,
                    build_rect_mesh, build_tri_mesh, build_voronoi_mesh,

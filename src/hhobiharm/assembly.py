@@ -21,12 +21,13 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .common import DEFAULT_QUAD, AssemblyError, ConfigError
+from .common import AssemblyError, ConfigError
 from .localops import (LocalOperators, build_local_matrices, reduce_face,
                        space_degrees)
 from .mesh import CellShape, Mesh, class_members, translation_classes
 from .polyspace import CellBasis
-from .quadrature import QuadratureRule, cell_rule, face_rule
+from .quadrature import (BC_EXTRA_DEGREE, RHS_EXTRA_DEGREE, QuadratureRule,
+                         cell_degree, cell_rule, face_degree, face_rule)
 
 __all__ = ["BoundaryData", "DofMap", "CondensedSystem", "CellRecovery",
            "assemble", "recover_cells", "HHOSolution"]
@@ -219,10 +220,10 @@ class HHOSolution:
         raise KeyError(f"face {f} carries no normal unknowns")
 
 
-def _prescribe_boundary(mesh, variant, k, bdata, quad):
+def _prescribe_boundary(mesh, variant, k, bdata):
     """Boundary face -> (trace coefficients, normal coefficients) from the data."""
     _, trace_deg, normal_deg = space_degrees(variant, k)
-    fdeg = quad.face_base(k) + quad.bc_extra_degree
+    fdeg = face_degree(k) + BC_EXTRA_DEGREE
     out = {}
     for f in mesh.boundary_faces():
         if bdata is None:
@@ -250,11 +251,10 @@ class _Condensed:
     load_table: Optional[np.ndarray]
 
 
-def _condense(shape, variant, k, nitsche, bdata, scaling, quad, with_load,
-              cell_id):
+def _condense(shape, variant, k, nitsche, bdata, scaling, with_load, cell_id):
     """Build the local operators of a class shape and eliminate the cell block."""
     ops = build_local_matrices(shape, 0, variant=variant, k=k, scaling=scaling,
-                               nitsche=nitsche, bdata=bdata, quad=quad,
+                               nitsche=nitsche, bdata=bdata,
                                check_kernel=False)
     nc = ops.layout.cell_dim
     A = ops.A
@@ -269,7 +269,7 @@ def _condense(shape, variant, k, nitsche, bdata, scaling, quad, with_load,
     S_rr = 0.5 * (S_rr + S_rr.T)
     rule = table = None
     if with_load:
-        rule = cell_rule(shape, 0, quad.cell_base(k) + quad.rhs_extra_degree)
+        rule = cell_rule(shape, 0, cell_degree(k) + RHS_EXTRA_DEGREE)
         cb = CellBasis.for_cell(shape, 0, space_degrees(variant, k)[0])
         table = cb.eval(rule.points)
     return _Condensed(ops, chol, A_Trest, S_rr, rule, table)
@@ -335,7 +335,7 @@ def _cell_contribution(mesh, c, loc, offset, f_load, prescribed, dofmap):
 
 def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
              bc_mode: str = "strong", f=None, bdata: BoundaryData = None,
-             scaling: str = "k2-all", quad=DEFAULT_QUAD) -> CondensedSystem:
+             scaling: str = "k2-all") -> CondensedSystem:
     """Assemble the statically condensed global system.
 
     Works one translation class of cells (see `translation_classes`) at a
@@ -358,7 +358,7 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
     nitsche = bc_mode == "nitsche"
     prescribed = {}
     if bc_mode == "strong":
-        prescribed = _prescribe_boundary(mesh, variant, k, bdata, quad)
+        prescribed = _prescribe_boundary(mesh, variant, k, bdata)
 
     labels = translation_classes(mesh)
     if nitsche:
@@ -369,7 +369,7 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
         shape = CellShape(mesh, members[0])
         data = (None if bdata is None
                 else bdata.translated(shape.offset(mesh, members[0])))
-        loc = _condense(shape, variant, k, nitsche, data, scaling, quad,
+        loc = _condense(shape, variant, k, nitsche, data, scaling,
                         f is not None, cell_id=members[0])
         for c in members:
             results[c] = _cell_contribution(mesh, c, loc,

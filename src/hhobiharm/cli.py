@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 
-from .common import ConfigError, NumericalError, QuadSettings, STAB_SCALINGS
+from .common import ConfigError, NumericalError, STAB_SCALINGS
 from .manufactured import get_case
 from .mesh import (build_rect_mesh, build_tri_mesh, build_voronoi_mesh,
                    load_mesh, save_mesh, validate, MeshError)
@@ -42,9 +42,6 @@ class RunConfig:
     lloyd: int = 20
     mesh_file: str = ""
     levels: str = ""               # comma list of resolutions / cell counts
-    rhs_extra_degree: int = 2
-    bc_extra_degree: int = 4
-    error_extra_degree: int = 4
     solver: str = "direct"         # direct | cg
     cg_tol: float = 1e-12
     out_dir: str = "out"
@@ -64,16 +61,13 @@ class RunConfig:
             raise ConfigError(f"unknown mesh kind {self.mesh_kind!r}")
         if self.solver not in ("direct", "cg"):
             raise ConfigError(f"solver must be direct or cg")
+        if not self.cg_tol > 0:
+            raise ConfigError(f"cg_tol must be positive, got {self.cg_tol}")
         try:
             get_case(self.case)
         except KeyError as err:
             raise ConfigError(err.args[0]) from None
         return self
-
-    def quad(self):
-        return QuadSettings(rhs_extra_degree=self.rhs_extra_degree,
-                            bc_extra_degree=self.bc_extra_degree,
-                            error_extra_degree=self.error_extra_degree)
 
     def solve_config(self):
         return SolveConfig(method=self.solver, cg_tol=self.cg_tol)
@@ -162,9 +156,6 @@ def _add_run_flags(p):
     p.add_argument("--solver", choices=("direct", "cg"))
     p.add_argument("--cg-tol", dest="cg_tol", type=float)
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--rhs-extra-degree", dest="rhs_extra_degree", type=int)
-    p.add_argument("--bc-extra-degree", dest="bc_extra_degree", type=int)
-    p.add_argument("--error-extra-degree", dest="error_extra_degree", type=int)
 
 
 def _report_csv_path(cfg, tag=None):
@@ -197,7 +188,7 @@ def cmd_solve(args) -> int:
     case = get_case(cfg.case)
     report, _, _ = solve_and_measure(
         mesh, cfg.variant, cfg.k, cfg.bc_mode, case, scaling=cfg.scaling,
-        quad=cfg.quad(), solve_cfg=cfg.solve_config())
+        solve_cfg=cfg.solve_config())
     path = _report_csv_path(cfg)
     RateTable([report]).to_csv(path)
     print(f"variant {cfg.variant}, k={cfg.k}, {cfg.bc_mode} bc, case {cfg.case}")
@@ -219,7 +210,7 @@ def _run_family(cfg, variant, bc_mode, tag):
               f"errH2={rep.err_h2_rel:.4e} errL2={rep.err_l2_rel:.4e}")
 
     table = convergence_study(meshes, variant, cfg.k, bc_mode, case,
-                              scaling=cfg.scaling, quad=cfg.quad(),
+                              scaling=cfg.scaling,
                               solve_cfg=cfg.solve_config(), csv_path=path,
                               progress=progress)
     print(f"  [{tag}] fitted slopes: H2 {table.slope_h2:.3f}, "

@@ -1,6 +1,4 @@
-"""Shared configuration objects and exception types."""
-
-from dataclasses import dataclass
+"""Exception types and the stabilization scaling modes shared across modules."""
 
 
 class NumericalError(RuntimeError):
@@ -18,30 +16,6 @@ class SolverError(NumericalError):
 class ConfigError(ValueError):
     """Invalid run configuration (bad variant, degree, mesh parameters)."""
 
-
-@dataclass(frozen=True)
-class QuadSettings:
-    """Extra quadrature degrees added on top of the polynomially exact base rules.
-
-    Base rules integrate every product of discrete polynomials exactly:
-    degree 2(k+2) in cells, 2(k+2)+1 on faces.  The extras below only matter
-    for integrands involving non-polynomial data (loads, boundary data,
-    projections of smooth functions, error norms).
-    """
-
-    rhs_extra_degree: int = 2      # load integrals (f, phi)_K
-    bc_extra_degree: int = 4       # boundary data projections and penalty terms
-    data_extra_degree: int = 8     # reductions / projection oracles of smooth v
-    error_extra_degree: int = 4    # error norm integration
-
-    def cell_base(self, k: int) -> int:
-        return 2 * (k + 2)
-
-    def face_base(self, k: int) -> int:
-        return 2 * (k + 2) + 1
-
-
-DEFAULT_QUAD = QuadSettings()
 
 STAB_SCALINGS = ("plain", "k2-all", "k2-hm1-only")
 

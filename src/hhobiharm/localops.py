@@ -30,13 +30,14 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .common import DEFAULT_QUAD, AssemblyError, ConfigError, stab_factors
+from .common import AssemblyError, ConfigError, stab_factors
 from .mesh import Mesh
 from .polyspace import (FACE_ORDERS_2, FACE_ORDERS_3, CellBasis, FaceBasis,
                         PolyCoeffs, canonical_interp_face, face_derivatives,
                         project_cell, project_face, reference_interp_matrix,
                         space_dim)
-from .quadrature import cell_rule, face_rule
+from .quadrature import (BC_EXTRA_DEGREE, DATA_EXTRA_DEGREE, cell_degree,
+                         cell_rule, face_degree, face_rule)
 
 __all__ = [
     "LocalDofLayout", "LocalOperators", "make_layout",
@@ -128,13 +129,12 @@ class LocalOperators:
 class _CellWork:
     """Quadrature tables and factorizations shared by all builders of a cell."""
 
-    def __init__(self, mesh, cell_id, variant, k, nitsche=False, quad=DEFAULT_QUAD):
+    def __init__(self, mesh, cell_id, variant, k, nitsche=False):
         self.mesh = mesh
         self.cell_id = cell_id
         self.variant = variant
         self.k = k
         self.nitsche = nitsche
-        self.quad = quad
         self.layout = make_layout(mesh, cell_id, variant, k, nitsche)
         self.h = mesh.cell_diameter[cell_id]
         self.faces = mesh.cell_faces[cell_id]
@@ -146,8 +146,7 @@ class _CellWork:
         self.rec_dim = self.rec_basis.dim
         self.cell_dim = self.layout.cell_dim
 
-        crule = cell_rule(mesh, cell_id, quad.cell_base(k))
-        self.cell_quadrature = crule
+        crule = cell_rule(mesh, cell_id, cell_degree(k))
         w = crule.weights
         orders = [(0, 0), (2, 0), (1, 1), (0, 2)]
         if k >= 2:
@@ -194,7 +193,7 @@ class _CellWork:
         mesh, k = self.mesh, self.k
         f = self.faces[a]
         sgn = self.signs[a]
-        rule = face_rule(mesh, f, self.quad.face_base(k))
+        rule = face_rule(mesh, f, face_degree(k))
         w = rule.weights
         n_out = sgn * mesh.face_normal[f]
         t = mesh.face_tangent[f]
@@ -376,7 +375,7 @@ class _CellWork:
         """
         fac_low, fac_hm1 = stab_factors(scaling, self.k)
         h, nc = self.h, self.cell_dim
-        deg = self.quad.face_base(self.k) + self.quad.bc_extra_degree
+        deg = face_degree(self.k) + BC_EXTRA_DEGREE
         rhs = np.zeros(self.rec_dim)
         load = np.zeros(self.layout.n_total)
         for ft in self._faces:
@@ -420,7 +419,7 @@ def _kernel_dim(A, tol=1e-12):
 
 
 def build_reconstruction(mesh, cell_id, variant="A", k=1, nitsche=False,
-                         path="ipp", quad=DEFAULT_QUAD) -> np.ndarray:
+                         path="ipp") -> np.ndarray:
     """Reconstruction matrix of one cell: local dofs -> P^{k+2}(K) coefficients.
 
     `path` selects the assembly route: "ipp" applies integration by parts to
@@ -428,25 +427,25 @@ def build_reconstruction(mesh, cell_id, variant="A", k=1, nitsche=False,
     "variational" assembles the Hessian problem directly.  Both produce the
     same matrix and are cross-checked in the tests.
     """
-    work = _CellWork(mesh, cell_id, variant, k, nitsche, quad)
+    work = _CellWork(mesh, cell_id, variant, k, nitsche)
     return work.reconstruction(path)
 
 
 def build_stabilization(mesh, cell_id, variant="A", k=1, scaling="k2-all",
-                        nitsche=False, quad=DEFAULT_QUAD) -> np.ndarray:
-    work = _CellWork(mesh, cell_id, variant, k, nitsche, quad)
+                        nitsche=False) -> np.ndarray:
+    work = _CellWork(mesh, cell_id, variant, k, nitsche)
     return work.stabilization(scaling)
 
 
-def build_seminorm_gram(mesh, cell_id, variant="A", k=1, nitsche=False,
-                        quad=DEFAULT_QUAD) -> np.ndarray:
+def build_seminorm_gram(mesh, cell_id, variant="A", k=1,
+                        nitsche=False) -> np.ndarray:
     """Gram matrix of the local energy seminorm (see `local_seminorm`)."""
-    work = _CellWork(mesh, cell_id, variant, k, nitsche, quad)
+    work = _CellWork(mesh, cell_id, variant, k, nitsche)
     return work.seminorm_gram()
 
 
 def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
-                         nitsche=False, bdata=None, quad=DEFAULT_QUAD,
+                         nitsche=False, bdata=None,
                          check_kernel=True) -> LocalOperators:
     """Build all local matrices of one cell.
 
@@ -454,7 +453,7 @@ def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
     affine modes), or 0 on Nitsche cells touching the boundary; a mismatch
     signals a quadrature or orientation-sign defect and raises AssemblyError.
     """
-    work = _CellWork(mesh, cell_id, variant, k, nitsche, quad)
+    work = _CellWork(mesh, cell_id, variant, k, nitsche)
     R = work.reconstruction()
     S = work.stabilization(scaling, R=R)
     A = R.T @ work.G @ R + S
@@ -500,8 +499,8 @@ def reduce_face(mesh, f, u, dn_u, variant, k, rule):
     return tr, project_face(dn_u, nb, rule).coeffs
 
 
-def reduce_cell(mesh, cell_id, u, grad, variant="A", k=1, nitsche=False,
-                quad=DEFAULT_QUAD) -> np.ndarray:
+def reduce_cell(mesh, cell_id, u, grad, variant="A", k=1,
+                nitsche=False) -> np.ndarray:
     """Reduction of a smooth function onto the local unknown triple.
 
     The cell block is the L^2 projection; the face blocks come from
@@ -510,11 +509,11 @@ def reduce_cell(mesh, cell_id, u, grad, variant="A", k=1, nitsche=False,
     layout = make_layout(mesh, cell_id, variant, k, nitsche)
     out = np.zeros(layout.n_total)
 
-    crule = cell_rule(mesh, cell_id, quad.cell_base(k) + quad.data_extra_degree)
+    crule = cell_rule(mesh, cell_id, cell_degree(k) + DATA_EXTRA_DEGREE)
     cb = CellBasis.for_cell(mesh, cell_id, space_degrees(variant, k)[0])
     out[layout.cell_slice] = project_cell(u, cb, crule).coeffs
 
-    fdeg = quad.face_base(k) + quad.data_extra_degree
+    fdeg = face_degree(k) + DATA_EXTRA_DEGREE
     for a, f in enumerate(mesh.cell_faces[cell_id]):
         if layout.trace_dims[a] == 0:
             continue
@@ -526,16 +525,15 @@ def reduce_cell(mesh, cell_id, u, grad, variant="A", k=1, nitsche=False,
     return out
 
 
-def elliptic_projection_oracle(u, hess, mesh, cell_id, k,
-                               quad=DEFAULT_QUAD) -> PolyCoeffs:
+def elliptic_projection_oracle(u, hess, mesh, cell_id, k) -> PolyCoeffs:
     """Best approximation in the Hessian energy with affine-moment closure.
 
     Solves (hess(E u - u), hess w)_K = 0 for all w in P^{k+2}(K) together
     with (E u - u, xi)_K = 0 for affine xi, as one bordered dense system.
     Test oracle; the solver path never calls this.
     """
-    work = _CellWork(mesh, cell_id, "A", k, quad=quad)
-    crule = cell_rule(mesh, cell_id, quad.cell_base(k) + quad.data_extra_degree)
+    work = _CellWork(mesh, cell_id, "A", k)
+    crule = cell_rule(mesh, cell_id, cell_degree(k) + DATA_EXTRA_DEGREE)
     b = work.rec_basis
     w = crule.weights
     H = np.asarray(hess(crule.points), dtype=np.float64)

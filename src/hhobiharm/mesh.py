@@ -144,9 +144,12 @@ class Mesh:
         # Vertex loops, orientation, and signs.
         loops = []
         signs = []
+        self.cell_centroid = np.empty((nc, 2))
+        self.cell_area = np.empty(nc)
         for c, faces in enumerate(cell_faces):
             loop = _loop_from_faces(face_vertices, faces, c)
-            area, _ = _polygon_area_centroid(vertices[loop])
+            area, self.cell_centroid[c] = _polygon_area_centroid(vertices[loop])
+            self.cell_area[c] = area
             if area <= 0:
                 raise MeshFormatError(f"cell {c}: face loop is not counterclockwise "
                                       f"or encloses no area")
@@ -196,14 +199,9 @@ class Mesh:
         self.face_midpoint = 0.5 * (p0 + p1)
         self.is_boundary_face = self.face_cells[:, 1] < 0
 
-        self.cell_centroid = np.empty((nc, 2))
-        self.cell_area = np.empty(nc)
         self.cell_diameter = np.empty(nc)
         for c, loop in enumerate(loops):
             pts = vertices[loop]
-            area, cen = _polygon_area_centroid(pts)
-            self.cell_area[c] = area
-            self.cell_centroid[c] = cen
             d = pts[:, None, :] - pts[None, :, :]
             self.cell_diameter[c] = np.sqrt((d ** 2).sum(axis=2).max())
 

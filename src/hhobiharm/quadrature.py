@@ -4,6 +4,12 @@ Polygon rules are composite rules over the sub-triangulation of a cell, using
 a collapsed tensor (Duffy) Gauss rule on each triangle.  All weights are
 strictly positive and the rules integrate polynomials up to their declared
 degree exactly.
+
+The module also fixes every rule degree the solver uses.  Every local
+operator integrates products of discrete polynomials of degree at most k+2,
+so `cell_degree(k)` = 2(k+2) and `face_degree(k)` = 2(k+2)+1 are exact for
+them.  Only integrands with non-polynomial data need more: each kind of data
+integral adds its own fixed `*_EXTRA_DEGREE` to the base degree.
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,23 @@ import numpy as np
 from .mesh import Mesh, subtriangulate
 
 __all__ = ["QuadratureRule", "segment_rule", "face_rule", "triangle_rule",
-           "cell_rule"]
+           "cell_rule", "cell_degree", "face_degree", "RHS_EXTRA_DEGREE",
+           "BC_EXTRA_DEGREE", "DATA_EXTRA_DEGREE", "ERROR_EXTRA_DEGREE"]
+
+RHS_EXTRA_DEGREE = 2      # load integrals (f, phi)_K
+BC_EXTRA_DEGREE = 4       # boundary data projections and penalty terms
+DATA_EXTRA_DEGREE = 8     # reductions / projection oracles of smooth v
+ERROR_EXTRA_DEGREE = 4    # error norm integration
+
+
+def cell_degree(k: int) -> int:
+    """Cell rule degree exact for products of discrete polynomials (<= k+2)."""
+    return 2 * (k + 2)
+
+
+def face_degree(k: int) -> int:
+    """Face rule degree exact for products of discrete polynomials (<= k+2)."""
+    return 2 * (k + 2) + 1
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,13 @@ from typing import Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .common import DEFAULT_QUAD, SolverError
+from .common import SolverError
 from .assembly import CondensedSystem, HHOSolution, recover_cells
 from .mesh import CellShape, class_members, translation_classes
 from .polyspace import (FACE_ORDERS_3, CellBasis, PolyCoeffs, face_derivatives,
                         project_cell)
-from .quadrature import cell_rule, face_rule
+from .quadrature import (DATA_EXTRA_DEGREE, ERROR_EXTRA_DEGREE, cell_degree,
+                         cell_rule, face_degree, face_rule)
 
 __all__ = ["SolveConfig", "ErrorReport", "RateTable", "solve",
            "reconstruct_field", "error_norms", "convergence_study",
@@ -43,6 +44,8 @@ class SolveConfig:
             raise ValueError(f"unknown solve method {self.method!r}")
         if self.cg_tol <= 0:
             raise ValueError("cg_tol must be positive")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -164,7 +167,7 @@ def solve(system: CondensedSystem, config: SolveConfig = SolveConfig()) -> np.nd
     def cb(_):
         iters[0] += 1
 
-    maxiter = config.max_iters or 20 * n
+    maxiter = 20 * n if config.max_iters is None else config.max_iters
     x, info = spla.cg(A, b, rtol=config.cg_tol, atol=0.0, maxiter=maxiter,
                       callback=cb)
     if info != 0:
@@ -190,7 +193,7 @@ def reconstruct_field(system: CondensedSystem, solution) -> list:
     return out
 
 
-def error_norms(mesh, fld, case, k, quad=DEFAULT_QUAD, dofs=0,
+def error_norms(mesh, fld, case, k, dofs=0,
                 assembly_time=0.0, solve_time=0.0) -> ErrorReport:
     """Relative broken-Hessian and L^2 errors of a reconstructed field.
 
@@ -199,7 +202,7 @@ def error_norms(mesh, fld, case, k, quad=DEFAULT_QUAD, dofs=0,
     basis tables of the fields whose basis sits on that shape carried onto
     the cell, as `assemble` builds them.  Other fields get per-cell tables.
     """
-    deg = quad.cell_base(k) + quad.error_extra_degree
+    deg = cell_degree(k) + ERROR_EXTRA_DEGREE
     orders = [(0, 0), (2, 0), (1, 1), (0, 2)]
     e_h2 = np.zeros(mesh.n_cells)
     e_l2 = np.zeros(mesh.n_cells)
@@ -243,7 +246,7 @@ def error_norms(mesh, fld, case, k, quad=DEFAULT_QUAD, dofs=0,
         assembly_time=assembly_time, solve_time=solve_time)
 
 
-def projection_gap_sharp_norm(mesh, k, case, quad=DEFAULT_QUAD) -> float:
+def projection_gap_sharp_norm(mesh, k, case) -> float:
     """Diagnostic norm of u - P(u), P the cellwise L^2 projection onto P^{k+2}.
 
     Per cell: Hessian seminorm squared plus h^3 |d_n Lap|^2 + h |d_nn|^2 +
@@ -253,7 +256,7 @@ def projection_gap_sharp_norm(mesh, k, case, quad=DEFAULT_QUAD) -> float:
     total = np.zeros(mesh.n_cells)
     for c in range(mesh.n_cells):
         b = CellBasis.for_cell(mesh, c, k + 2)
-        crule = cell_rule(mesh, c, quad.cell_base(k) + quad.data_extra_degree)
+        crule = cell_rule(mesh, c, cell_degree(k) + DATA_EXTRA_DEGREE)
         proj = project_cell(case.u, b, crule).coeffs
         w = crule.weights
         H = np.asarray(case.hess(crule.points), dtype=np.float64)
@@ -263,7 +266,7 @@ def projection_gap_sharp_norm(mesh, k, case, quad=DEFAULT_QUAD) -> float:
         acc = w @ (dxx ** 2 + 2 * dxy ** 2 + dyy ** 2)
         h = mesh.cell_diameter[c]
         for f in mesh.cell_faces[c]:
-            rule = face_rule(mesh, f, quad.face_base(k) + quad.data_extra_degree)
+            rule = face_rule(mesh, f, face_degree(k) + DATA_EXTRA_DEGREE)
             pts = rule.points
             # Columns follow FACE_ORDERS_3 without (0, 0).
             exact = np.hstack([case.grad(pts), case.hess(pts), case.third(pts)])
@@ -280,7 +283,7 @@ def projection_gap_sharp_norm(mesh, k, case, quad=DEFAULT_QUAD) -> float:
 
 
 def solve_and_measure(mesh, variant, k, bc_mode, case, scaling="k2-all",
-                      quad=DEFAULT_QUAD, solve_cfg=SolveConfig()) -> tuple:
+                      solve_cfg=SolveConfig()) -> tuple:
     """Assemble, solve, reconstruct, and measure one run.
 
     Returns (ErrorReport, HHOSolution, reconstructed field).
@@ -289,27 +292,27 @@ def solve_and_measure(mesh, variant, k, bc_mode, case, scaling="k2-all",
 
     bdata = None if case.homogeneous else BoundaryData.from_case(case)
     system = assemble(mesh, variant=variant, k=k, bc_mode=bc_mode, f=case.f,
-                      bdata=bdata, scaling=scaling, quad=quad)
+                      bdata=bdata, scaling=scaling)
     t0 = time.perf_counter()
     x = solve(system, solve_cfg)
     solve_time = time.perf_counter() - t0
     solution = recover_cells(system, x)
     fld = reconstruct_field(system, solution)
-    report = error_norms(mesh, fld, case, k, quad=quad, dofs=system.n_dofs,
+    report = error_norms(mesh, fld, case, k, dofs=system.n_dofs,
                          assembly_time=system.assembly_time,
                          solve_time=solve_time)
     return report, solution, fld
 
 
 def convergence_study(meshes, variant, k, bc_mode, case, scaling="k2-all",
-                      quad=DEFAULT_QUAD, solve_cfg=SolveConfig(),
-                      csv_path=None, progress=None) -> RateTable:
+                      solve_cfg=SolveConfig(), csv_path=None,
+                      progress=None) -> RateTable:
     """Run a refinement family (coarse to fine) and fit convergence slopes."""
     reports = []
     try:
         for mesh in meshes:
             report, _, _ = solve_and_measure(mesh, variant, k, bc_mode, case,
-                                             scaling=scaling, quad=quad,
+                                             scaling=scaling,
                                              solve_cfg=solve_cfg)
             reports.append(report)
             if progress is not None:

@@ -17,7 +17,6 @@ def dense_full_system(mesh, variant, k, bc_mode, case, scaling="k2-all"):
     [all cell blocks | global face dofs].
     """
     from hhobiharm.assembly import _prescribe_boundary
-    from hhobiharm.common import DEFAULT_QUAD
 
     nitsche = bc_mode == "nitsche"
     bdata = None
@@ -26,7 +25,7 @@ def dense_full_system(mesh, variant, k, bc_mode, case, scaling="k2-all"):
     dm = DofMap.create(mesh, variant, k, bc_mode)
     prescribed = {}
     if bc_mode == "strong":
-        prescribed = _prescribe_boundary(mesh, variant, k, bdata, DEFAULT_QUAD)
+        prescribed = _prescribe_boundary(mesh, variant, k, bdata)
 
     cell_dims = []
     all_ops = []

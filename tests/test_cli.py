@@ -135,10 +135,32 @@ class TestConfigHandling:
         assert run(["solve", "--case", "bogus",
                     "--out-dir", str(tmp_path)]) == 2
 
-    def test_threads_key_is_unknown(self, tmp_path):
+    @pytest.mark.parametrize("key", ["threads", "rhs_extra_degree",
+                                     "bc_extra_degree", "error_extra_degree"])
+    def test_removed_key_is_unknown(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("threads = 2\n")
+        cfg.write_text(f"{key} = 2\n")
         assert run(["solve", "--config", str(cfg)]) == 2
+
+    def test_removed_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--rhs-extra-degree", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_nonpositive_cg_tol_exit2_before_meshing(self, tmp_path,
+                                                     monkeypatch, source):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the mesh was built")
+
+        monkeypatch.setattr(cli.RunConfig, "build_mesh", unreachable)
+        if source == "flag":
+            args = ["solve", "--cg-tol", "0"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("cg_tol = -1\n")
+            args = ["solve", "--config", str(cfg)]
+        assert run(args + ["--out-dir", str(tmp_path)]) == 2
 
     def test_internal_key_error_is_not_a_config_error(self, tmp_path,
                                                       monkeypatch):

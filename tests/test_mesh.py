@@ -32,6 +32,19 @@ class TestRectMesh:
         mean = m.vertices[np.array(m.cell_loops)].mean(axis=1)
         assert np.abs(m.cell_centroid - mean).max() <= 1e-13 * m.h_max
 
+    def test_one_area_centroid_pass_per_cell(self, monkeypatch):
+        import hhobiharm.mesh as mesh_mod
+        calls = []
+        orig = mesh_mod._polygon_area_centroid
+
+        def counting(pts):
+            calls.append(1)
+            return orig(pts)
+
+        monkeypatch.setattr(mesh_mod, "_polygon_area_centroid", counting)
+        hb.build_rect_mesh(4, 4)
+        assert len(calls) == 16
+
     def test_bad_args(self):
         with pytest.raises(MeshError):
             hb.build_rect_mesh(0, 3)

@@ -47,6 +47,10 @@ class TestSolve:
         with pytest.raises(hb.SolverError, match="cg"):
             solve(sys_, SolveConfig(method="cg", cg_tol=1e-14, max_iters=2))
 
+    def test_max_iters_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveConfig(method="cg", max_iters=0)
+
 
 class TestReconstructField:
     def test_affine_interpolant_reproduced_everywhere(self, vor16):
