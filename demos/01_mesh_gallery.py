@@ -5,6 +5,9 @@ polygons), checks their structural invariants, and round-trips one of them
 through the JSON format.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import hhobiharm as hb
@@ -33,8 +36,10 @@ for cells in (16, 64, 256):
 
 print("\n=== JSON round trip ===")
 mesh = hb.build_voronoi_mesh(64, 42, 20)
-hb.save_mesh(mesh, "/tmp/demo_mesh.json")
-again = hb.load_mesh("/tmp/demo_mesh.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_mesh.json")
+    hb.save_mesh(mesh, path)
+    again = hb.load_mesh(path)
 print(f"  saved and reloaded: identical = {again == mesh}")
 
 print("\n=== sub-triangulation ===")

@@ -6,10 +6,13 @@ Commands
     convergence  a refinement family with fitted rates, CSV per run
     compare      run several variants (or both BC modes) on the same family
 
-Configuration can be given as flags or as a flat key=value text file passed
-with --config (flags win).  `--print-config` prints the effective
-configuration and exits.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+Every run solves the condensed system with the one certified direct solve
+of `solving.solve`; the solver has no settings.  Configuration can be given
+as flags or as a flat key=value text file passed with --config (flags win);
+an unknown key exits 2.  `--print-config` prints the effective configuration
+and exits.  Exit codes: 0 success, 2 configuration error, 3 numerical failure
+(a system the factorization does not certify SPD, or a residual over its
+bound).
 """
 
 import argparse
@@ -22,8 +25,7 @@ from .common import ConfigError, NumericalError, STAB_SCALINGS
 from .manufactured import get_case
 from .mesh import (build_rect_mesh, build_tri_mesh, build_voronoi_mesh,
                    load_mesh, save_mesh, validate, MeshError)
-from .solving import (RateTable, SolveConfig, convergence_study,
-                      solve_and_measure)
+from .solving import RateTable, convergence_study, solve_and_measure
 
 __all__ = ["main", "RunConfig"]
 
@@ -42,8 +44,6 @@ class RunConfig:
     lloyd: int = 20
     mesh_file: str = ""
     levels: str = ""               # comma list of resolutions / cell counts
-    solver: str = "direct"         # direct | cg
-    cg_tol: float = 1e-12
     out_dir: str = "out"
 
     def check(self):
@@ -59,18 +59,11 @@ class RunConfig:
             raise ConfigError(f"scaling must be one of {STAB_SCALINGS}")
         if self.mesh_kind not in ("rect", "tri", "voronoi", "file"):
             raise ConfigError(f"unknown mesh kind {self.mesh_kind!r}")
-        if self.solver not in ("direct", "cg"):
-            raise ConfigError(f"solver must be direct or cg")
-        if not self.cg_tol > 0:
-            raise ConfigError(f"cg_tol must be positive, got {self.cg_tol}")
         try:
             get_case(self.case)
         except KeyError as err:
             raise ConfigError(err.args[0]) from None
         return self
-
-    def solve_config(self):
-        return SolveConfig(method=self.solver, cg_tol=self.cg_tol)
 
     def build_mesh(self, resolution=None):
         if self.mesh_kind == "rect":
@@ -153,8 +146,6 @@ def _add_run_flags(p):
     p.add_argument("--lloyd", type=int, help="voronoi relaxation sweeps")
     p.add_argument("--mesh-file", dest="mesh_file")
     p.add_argument("--levels", help="comma list of resolutions, coarse to fine")
-    p.add_argument("--solver", choices=("direct", "cg"))
-    p.add_argument("--cg-tol", dest="cg_tol", type=float)
     p.add_argument("--out-dir", dest="out_dir")
 
 
@@ -187,8 +178,7 @@ def cmd_solve(args) -> int:
     mesh = cfg.build_mesh()
     case = get_case(cfg.case)
     report, _, _ = solve_and_measure(
-        mesh, cfg.variant, cfg.k, cfg.bc_mode, case, scaling=cfg.scaling,
-        solve_cfg=cfg.solve_config())
+        mesh, cfg.variant, cfg.k, cfg.bc_mode, case, scaling=cfg.scaling)
     path = _report_csv_path(cfg)
     RateTable([report]).to_csv(path)
     print(f"variant {cfg.variant}, k={cfg.k}, {cfg.bc_mode} bc, case {cfg.case}")
@@ -210,8 +200,7 @@ def _run_family(cfg, variant, bc_mode, tag):
               f"errH2={rep.err_h2_rel:.4e} errL2={rep.err_l2_rel:.4e}")
 
     table = convergence_study(meshes, variant, cfg.k, bc_mode, case,
-                              scaling=cfg.scaling,
-                              solve_cfg=cfg.solve_config(), csv_path=path,
+                              scaling=cfg.scaling, csv_path=path,
                               progress=progress)
     print(f"  [{tag}] fitted slopes: H2 {table.slope_h2:.3f}, "
           f"L2 {table.slope_l2:.3f}  -> {path}")

@@ -11,7 +11,6 @@ summation, so results are reproducible across runs.
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -34,18 +33,12 @@ CSV_HEADER = ["level", "h_max", "dofs", "err_h2_rel", "err_l2_rel",
 
 @dataclass(frozen=True)
 class SolveConfig:
-    method: str = "direct"        # "direct" (SPD factorization) or "cg"
-    cg_tol: float = 1e-12         # relative residual for cg
-    max_iters: Optional[int] = None
-    direct_residual: float = 1e-10
+    direct_residual: float = 1e-10    # relative residual ||Ax - b|| / ||b||
 
     def __post_init__(self):
-        if self.method not in ("direct", "cg"):
-            raise ValueError(f"unknown solve method {self.method!r}")
-        if self.cg_tol <= 0:
-            raise ValueError("cg_tol must be positive")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not self.direct_residual > 0:
+            raise ValueError("direct_residual must be positive, got "
+                             f"{self.direct_residual}")
 
 
 @dataclass
@@ -128,7 +121,17 @@ class RateTable:
 
 
 def solve(system: CondensedSystem, config: SolveConfig = SolveConfig()) -> np.ndarray:
-    """Solve the condensed SPD system to the configured residual."""
+    """Solve the condensed SPD system by one certified sparse factorization.
+
+    SuperLU factors A with the symmetric minimum-degree ordering of A^T + A
+    and no off-diagonal pivoting.  With a symmetric permutation and diagonal
+    pivots, A is SPD exactly when every pivot is positive, so the factors
+    certify the system: `SolverError` is raised if the row and column
+    permutations differ or a pivot is not positive.  Up to three steps of
+    iterative refinement follow.  The result must meet the relative residual
+    `config.direct_residual`, or else the roundoff floor 2 eps || |A| |x| ||
+    below which float64 cannot certify a residual; otherwise `SolverError`.
+    """
     n = system.n_dofs
     if n == 0:
         return np.zeros(0)
@@ -136,43 +139,34 @@ def solve(system: CondensedSystem, config: SolveConfig = SolveConfig()) -> np.nd
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n)
-    if config.method == "direct":
-        try:
-            lu = spla.splu(A.tocsc())
-        except RuntimeError as err:
-            raise SolverError(f"direct factorization failed: {err}") from err
-        x = lu.solve(b)
-        # Iterative refinement keeps the residual at the contract level even
-        # for the ill-conditioned high-degree systems.
-        for _ in range(3):
-            r = b - A @ x
-            res = np.linalg.norm(r) / bnorm
-            if res <= 0.1 * config.direct_residual:
-                break
-            x = x + lu.solve(r)
-        res = np.linalg.norm(A @ x - b)
-        # The smallest residual representable in float64 arithmetic scales
-        # with eps * || |A| |x| ||; beyond it the relative target cannot be
-        # certified, so a backward-stable solve at that floor is accepted.
-        floor = 2.0 * np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x))
-        if not np.isfinite(res) or res > max(
-                config.direct_residual * bnorm, floor):
-            raise SolverError(
-                f"direct solve residual {res / bnorm:.3e} exceeds "
-                f"{config.direct_residual:.1e} and the roundoff floor "
-                f"{floor / bnorm:.3e}; system may not be SPD")
-        return x
-    iters = [0]
-
-    def cb(_):
-        iters[0] += 1
-
-    maxiter = 20 * n if config.max_iters is None else config.max_iters
-    x, info = spla.cg(A, b, rtol=config.cg_tol, atol=0.0, maxiter=maxiter,
-                      callback=cb)
-    if info != 0:
-        raise SolverError(f"cg did not converge within {iters[0]} iterations "
-                          f"(info={info})")
+    try:
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError as err:
+        raise SolverError(f"direct factorization failed: {err}") from err
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError("factorization pivoted off the diagonal (row and "
+                          "column permutations differ); system is not SPD")
+    pivots = lu.U.diagonal()
+    if not np.all(pivots > 0):
+        raise SolverError(f"smallest pivot {pivots.min():.3e} is not positive; "
+                          "system is not SPD")
+    x = lu.solve(b)
+    # Iterative refinement keeps the residual at the contract level even for
+    # the ill-conditioned high-degree systems.
+    for _ in range(3):
+        r = b - A @ x
+        res = np.linalg.norm(r) / bnorm
+        if res <= 0.1 * config.direct_residual:
+            break
+        x = x + lu.solve(r)
+    res = np.linalg.norm(A @ x - b)
+    floor = 2.0 * np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x))
+    if not np.isfinite(res) or res > max(config.direct_residual * bnorm, floor):
+        raise SolverError(
+            f"direct solve residual {res / bnorm:.3e} exceeds "
+            f"{config.direct_residual:.1e} and the roundoff floor "
+            f"{floor / bnorm:.3e}")
     return x
 
 
@@ -282,8 +276,8 @@ def projection_gap_sharp_norm(mesh, k, case) -> float:
     return float(np.sqrt(np.sum(total)))
 
 
-def solve_and_measure(mesh, variant, k, bc_mode, case, scaling="k2-all",
-                      solve_cfg=SolveConfig()) -> tuple:
+def solve_and_measure(mesh, variant, k, bc_mode, case,
+                      scaling="k2-all") -> tuple:
     """Assemble, solve, reconstruct, and measure one run.
 
     Returns (ErrorReport, HHOSolution, reconstructed field).
@@ -294,7 +288,7 @@ def solve_and_measure(mesh, variant, k, bc_mode, case, scaling="k2-all",
     system = assemble(mesh, variant=variant, k=k, bc_mode=bc_mode, f=case.f,
                       bdata=bdata, scaling=scaling)
     t0 = time.perf_counter()
-    x = solve(system, solve_cfg)
+    x = solve(system)
     solve_time = time.perf_counter() - t0
     solution = recover_cells(system, x)
     fld = reconstruct_field(system, solution)
@@ -305,15 +299,13 @@ def solve_and_measure(mesh, variant, k, bc_mode, case, scaling="k2-all",
 
 
 def convergence_study(meshes, variant, k, bc_mode, case, scaling="k2-all",
-                      solve_cfg=SolveConfig(), csv_path=None,
-                      progress=None) -> RateTable:
+                      csv_path=None, progress=None) -> RateTable:
     """Run a refinement family (coarse to fine) and fit convergence slopes."""
     reports = []
     try:
         for mesh in meshes:
             report, _, _ = solve_and_measure(mesh, variant, k, bc_mode, case,
-                                             scaling=scaling,
-                                             solve_cfg=solve_cfg)
+                                             scaling=scaling)
             reports.append(report)
             if progress is not None:
                 progress(report)

@@ -136,31 +136,26 @@ class TestConfigHandling:
                     "--out-dir", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("key", ["threads", "rhs_extra_degree",
-                                     "bc_extra_degree", "error_extra_degree"])
-    def test_removed_key_is_unknown(self, tmp_path, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = 2\n")
-        assert run(["solve", "--config", str(cfg)]) == 2
-
-    def test_removed_flag_is_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["solve", "--rhs-extra-degree", "3"])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    def test_nonpositive_cg_tol_exit2_before_meshing(self, tmp_path,
-                                                     monkeypatch, source):
+                                     "bc_extra_degree", "error_extra_degree",
+                                     "solver", "cg_tol"])
+    def test_removed_key_is_unknown(self, tmp_path, monkeypatch, capsys, key):
         def unreachable(*args, **kwargs):
             raise AssertionError("the mesh was built")
 
         monkeypatch.setattr(cli.RunConfig, "build_mesh", unreachable)
-        if source == "flag":
-            args = ["solve", "--cg-tol", "0"]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text("cg_tol = -1\n")
-            args = ["solve", "--config", str(cfg)]
-        assert run(args + ["--out-dir", str(tmp_path)]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 2\n")
+        assert run(["solve", "--config", str(cfg),
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--rhs-extra-degree", "3"],
+                                      ["--solver", "cg"], ["--cg-tol", "0"]],
+                             ids=["--rhs-extra-degree", "--solver", "--cg-tol"])
+    def test_removed_flag_is_rejected(self, args):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve"] + args)
+        assert exc.value.code == 2
 
     def test_internal_key_error_is_not_a_config_error(self, tmp_path,
                                                       monkeypatch):
