@@ -43,9 +43,9 @@ with tempfile.TemporaryDirectory() as tmp:
 print(f"  saved and reloaded: identical = {again == mesh}")
 
 print("\n=== sub-triangulation ===")
-sub = hb.subtriangulate(mesh, 0)
+tris = hb.subtriangulate(mesh, 0)
 areas = [abs((t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1])
              - (t[1, 1] - t[0, 1]) * (t[2, 0] - t[0, 0])) / 2
-         for t in sub.triangles]
-print(f"  cell 0 splits into {len(sub.triangles)} triangles, "
+         for t in tris]
+print(f"  cell 0 splits into {len(tris)} triangles, "
       f"area defect {abs(sum(areas) - mesh.cell_area[0]):.2e}")

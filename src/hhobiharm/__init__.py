@@ -8,11 +8,10 @@ unknowns by static condensation.
 """
 
 from .common import AssemblyError, ConfigError, NumericalError, SolverError
-from .mesh import (Mesh, MeshError, MeshFormatError,
-                   SubTriangulation, ValidationReport, build_polygon_mesh,
-                   build_rect_mesh, build_tri_mesh, build_voronoi_mesh,
-                   load_mesh, save_mesh, subtriangulate, translation_classes,
-                   validate, with_flipped_face)
+from .mesh import (Mesh, MeshError, MeshFormatError, ValidationReport,
+                   build_polygon_mesh, build_rect_mesh, build_tri_mesh,
+                   build_voronoi_mesh, load_mesh, save_mesh, subtriangulate,
+                   translation_classes, validate, with_flipped_face)
 from .quadrature import QuadratureRule, cell_rule, face_rule, segment_rule, triangle_rule
 from .polyspace import (CellBasis, FaceBasis, PolyCoeffs, canonical_interp_face,
                         canonical_interp_matrix, cell_mass_matrix,

@@ -147,7 +147,6 @@ class CellRecovery:
     holds the prescribed values already in that frame.
     """
     cell_id: int
-    layout: object
     rec_basis: object
     R: np.ndarray
     lifting: Optional[np.ndarray]
@@ -202,22 +201,6 @@ class HHOSolution:
         rec = self.system.cells[cell_id]
         return np.concatenate([self.cell_coeffs[cell_id],
                                rec.gather_rest(self.face_values)])
-
-    def face_trace(self, f: int) -> np.ndarray:
-        dm = self.system.dofmap
-        if dm.face_offset[f] >= 0:
-            return self.face_values[dm.trace_dofs(f)]
-        if f in self.system.prescribed:
-            return self.system.prescribed[f][0]
-        raise KeyError(f"face {f} carries no trace unknowns")
-
-    def face_normal_deriv(self, f: int) -> np.ndarray:
-        dm = self.system.dofmap
-        if dm.face_offset[f] >= 0:
-            return self.face_values[dm.normal_dofs(f)]
-        if f in self.system.prescribed:
-            return self.system.prescribed[f][1]
-        raise KeyError(f"face {f} carries no normal unknowns")
 
 
 def _prescribe_boundary(mesh, variant, k, bdata):
@@ -326,7 +309,7 @@ def _cell_contribution(mesh, c, loc, offset, f_load, prescribed, dofmap):
 
     rec_basis = CellBasis(offset, ops.rec_basis.scale, ops.rec_basis.degree,
                           cell_id=c)
-    rec = CellRecovery(cell_id=c, layout=lay, rec_basis=rec_basis, R=ops.R,
+    rec = CellRecovery(cell_id=c, rec_basis=rec_basis, R=ops.R,
                        lifting=ops.lifting, chol_TT=loc.chol_TT,
                        A_Trest=loc.A_Trest, b_T=b[:nc], rest_gidx=gidx,
                        rest_sign=sign, rest_fixed=fixed)

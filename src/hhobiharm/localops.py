@@ -215,10 +215,9 @@ class _CellWork:
         # Variant B penalizes plain L^2 traces and never reads J.
         J = None if self.variant == "B" else reference_interp_matrix(k, fb.degree)
 
-        return dict(face=f, sign=sgn, rule=rule, w=w, n=n_out, t=t,
-                    basis=fb, Psi=Psi, dPsi=dPsi, Mf=Mf, V=V, Dn=Dn, Dt=Dt,
-                    Dnn=Dnn, Dnt=Dnt, DnLap=DnLap, T2=T2, PN=PN, J=J,
-                    boundary=bool(self.mesh.is_boundary_face[f]))
+        return dict(face=f, w=w, n=n_out, t=t, Psi=Psi, dPsi=dPsi, Mf=Mf,
+                    V=V, Dn=Dn, Dt=Dt, Dnn=Dnn, Dnt=Dnt, DnLap=DnLap, T2=T2,
+                    PN=PN, J=J, boundary=bool(self.mesh.is_boundary_face[f]))
 
     def _active(self, a):
         """Whether face a carries unknowns (always, except Nitsche boundary faces)."""

@@ -6,6 +6,10 @@ and carries a fixed unit normal; boundary faces are oriented so their normal
 points out of the domain.  The per-cell signs sigma = n_F . n_K recover the
 outward normal of each cell from the stored face normal.
 
+The areas and centroids of all polygons come from one flattened shoelace
+pass, `_polygon_moments`, used by mesh construction, the Voronoi generator
+(orientation and Lloyd sweeps) and `validate`.
+
 Meshes are immutable after construction and safe for concurrent reads.
 """
 
@@ -17,7 +21,7 @@ from scipy.spatial import Voronoi, cKDTree
 from scipy.spatial._qhull import QhullError
 
 __all__ = [
-    "Mesh", "CellShape", "SubTriangulation", "ValidationReport",
+    "Mesh", "CellShape", "ValidationReport",
     "MeshError", "MeshFormatError",
     "build_rect_mesh", "build_tri_mesh", "build_voronoi_mesh",
     "build_polygon_mesh", "load_mesh", "save_mesh", "validate",
@@ -38,13 +42,6 @@ class MeshError(ValueError):
 
 class MeshFormatError(MeshError):
     """Mesh file does not conform to the JSON schema."""
-
-
-@dataclass(frozen=True)
-class SubTriangulation:
-    """Simplicial decomposition of one cell (coordinates, not vertex ids)."""
-    cell_id: int
-    triangles: np.ndarray   # (ntri, 3, 2), positively oriented
 
 
 @dataclass
@@ -93,22 +90,31 @@ def _loop_from_faces(face_vertices, face_ids, cell_id):
     return np.array(loop[:-1], dtype=np.int64)
 
 
-def _polygon_area_centroid(pts):
-    """Signed area and centroid of a polygon given by its vertex coordinates.
+def _polygon_moments(points, loops):
+    """Signed area and centroid of every polygon in one flattened pass.
 
-    The shoelace sums run relative to the first vertex: in absolute
-    coordinates a small cell far from the origin loses digits to cancellation.
+    `loops` lists vertex ids into `points`, in either orientation: its sign
+    cancels between the area and the first moments.  The shoelace sums run
+    relative to each loop's first vertex: in absolute coordinates a small
+    cell far from the origin loses digits to cancellation.  A zero area gives
+    a non-finite centroid and no warning.
     """
-    rel = pts - pts[0]
+    counts = np.array([len(loop) for loop in loops], dtype=np.int64)
+    idx = np.concatenate(loops or [np.zeros(0, np.int64)])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    nxt = np.arange(1, len(idx) + 1)
+    nxt[ends - 1] = starts
+    first = points[idx[starts]]
+    rel = points[idx] - np.repeat(first, counts, axis=0)
     x, y = rel.T
-    xn, yn = np.roll(rel, -1, axis=0).T
+    xn, yn = rel[nxt].T
     cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    if abs(area) < 1e-300:
-        return area, pts.mean(axis=0)
-    cx = np.sum((x + xn) * cross) / (6.0 * area)
-    cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return area, pts[0] + np.array([cx, cy])
+    area = 0.5 * np.add.reduceat(cross, starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cx = np.add.reduceat((x + xn) * cross, starts) / (6.0 * area)
+        cy = np.add.reduceat((y + yn) * cross, starts) / (6.0 * area)
+    return area, first + np.column_stack([cx, cy])
 
 
 class Mesh:
@@ -142,24 +148,21 @@ class Mesh:
                                       f"({len(adj)} incident cells, expected 1 or 2)")
 
         # Vertex loops, orientation, and signs.
-        loops = []
+        loops = [_loop_from_faces(face_vertices, faces, c)
+                 for c, faces in enumerate(cell_faces)]
+        self.cell_area, self.cell_centroid = _polygon_moments(vertices, loops)
+        bad = np.flatnonzero(~(self.cell_area > 0))
+        if len(bad):
+            raise MeshFormatError(f"cell {bad[0]}: face loop is not "
+                                  f"counterclockwise or encloses no area")
         signs = []
-        self.cell_centroid = np.empty((nc, 2))
-        self.cell_area = np.empty(nc)
-        for c, faces in enumerate(cell_faces):
-            loop = _loop_from_faces(face_vertices, faces, c)
-            area, self.cell_centroid[c] = _polygon_area_centroid(vertices[loop])
-            self.cell_area[c] = area
-            if area <= 0:
-                raise MeshFormatError(f"cell {c}: face loop is not counterclockwise "
-                                      f"or encloses no area")
+        for loop, faces in zip(loops, cell_faces):
             sgn = []
             cur = loop[0]
             for f in faces:
                 a, b = face_vertices[f]
                 sgn.append(1 if a == cur else -1)
                 cur = b if a == cur else a
-            loops.append(loop)
             signs.append(np.array(sgn, dtype=np.int64))
 
         if given_signs is not None:
@@ -228,12 +231,6 @@ class Mesh:
     @property
     def h_max(self):
         return float(self.cell_diameter.max())
-
-    @property
-    def bounding_box(self):
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return lo, hi
 
     def boundary_faces(self):
         return np.nonzero(self.is_boundary_face)[0]
@@ -459,27 +456,6 @@ def _clipped_voronoi(pts):
     return vor.vertices, regions
 
 
-def _region_centroids(vor_vertices, regions):
-    """Polygon centroids of all regions at once (flattened loop arrays).
-
-    The sign of the loop orientation cancels between area and first moments,
-    so regions may be ordered either way.
-    """
-    counts = np.array([len(r) for r in regions])
-    idx = np.concatenate(regions)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    nxt = np.arange(len(idx)) + 1
-    nxt[ends - 1] = starts
-    p = vor_vertices[idx]
-    q = vor_vertices[idx[nxt]]
-    cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
-    area = 0.5 * np.add.reduceat(cross, starts)
-    cx = np.add.reduceat((p[:, 0] + q[:, 0]) * cross, starts) / (6 * area)
-    cy = np.add.reduceat((p[:, 1] + q[:, 1]) * cross, starts) / (6 * area)
-    return np.column_stack([cx, cy])
-
-
 def _voronoi_mesh_once(points, n_cells):
     """Build a Mesh from the clipped Voronoi diagram of the given points."""
     vor_vertices, regions = _clipped_voronoi(points)
@@ -509,11 +485,9 @@ def _voronoi_mesh_once(points, n_cells):
         cleaned = [v for i, v in enumerate(loop) if v != loop[i - 1]]
         if len(cleaned) < 3:
             raise MeshError("degenerate Voronoi cell after vertex merging")
-        pts = verts[cleaned]
-        area, _ = _polygon_area_centroid(pts)
-        if area < 0:
-            cleaned = cleaned[::-1]
         loops.append(cleaned)
+    area, _ = _polygon_moments(verts, loops)
+    loops = [loop[::-1] if a < 0 else loop for loop, a in zip(loops, area)]
     mesh = Mesh.from_cell_loops(verts, loops)
     if mesh.n_cells != n_cells:
         raise MeshError("Voronoi generator lost cells")
@@ -539,7 +513,7 @@ def build_voronoi_mesh(n_cells: int, seed: int, lloyd_iters: int = 20) -> Mesh:
             pts = points
             for _ in range(lloyd_iters):
                 vor_vertices, regions = _clipped_voronoi(pts)
-                pts = _region_centroids(vor_vertices, regions)
+                _, pts = _polygon_moments(vor_vertices, regions)
                 np.clip(pts, 1e-9, 1.0 - 1e-9, out=pts)
             return _voronoi_mesh_once(pts, n_cells)
         except (QhullError, MeshError, MeshFormatError,
@@ -593,8 +567,9 @@ def _ear_clip(pts):
     return np.array([[pts[i] for i in t] for t in tris])
 
 
-def subtriangulate(mesh: Mesh, cell_id: int) -> SubTriangulation:
-    """Simplicial submesh of one cell.
+def subtriangulate(mesh: Mesh, cell_id: int) -> np.ndarray:
+    """Simplicial submesh of one cell: an (ntri, 3, 2) array of positively
+    oriented triangles (coordinates, not vertex ids).
 
     Triangles are themselves; other cells get a centroid fan when star-shaped
     with respect to their centroid, and an ear-clipping triangulation
@@ -603,17 +578,16 @@ def subtriangulate(mesh: Mesh, cell_id: int) -> SubTriangulation:
     pts = mesh.cell_polygon(cell_id)
     n = len(pts)
     if n == 3:
-        return SubTriangulation(cell_id, pts[None, :, :].copy())
+        return pts[None].copy()
     cen = mesh.cell_centroid[cell_id]
     h2 = mesh.cell_diameter[cell_id] ** 2
-    nxt = np.roll(np.arange(n), -1)
+    nxt = np.arange(1, n + 1) % n
     v1 = pts - cen
     v2 = pts[nxt] - cen
     cross = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
     if np.all(cross > 1e-12 * h2):
-        tris = np.stack([np.broadcast_to(cen, (n, 2)), pts, pts[nxt]], axis=1)
-        return SubTriangulation(cell_id, tris.copy())
-    return SubTriangulation(cell_id, _ear_clip(pts))
+        return np.stack([np.broadcast_to(cen, (n, 2)), pts, pts[nxt]], axis=1)
+    return _ear_clip(pts)
 
 
 # -- validation ---------------------------------------------------------------
@@ -642,23 +616,25 @@ def validate(mesh: Mesh) -> ValidationReport:
         if mesh.cell_sign(c, f) != 1:
             bad.append(f"face {f}: boundary normal does not point outward")
 
+    area, _ = _polygon_moments(mesh.vertices, mesh.cell_loops)
     for c in range(mesh.n_cells):
-        pts = mesh.cell_polygon(c)
-        area, _ = _polygon_area_centroid(pts)
         hK = mesh.cell_diameter[c]
         if mesh.cell_area[c] <= 1e-12 * hK ** 2:
             bad.append(f"cell {c}: zero or degenerate area")
             continue
-        if abs(area - mesh.cell_area[c]) > 1e-12 * hK ** 2:
+        if abs(area[c] - mesh.cell_area[c]) > 1e-12 * hK ** 2:
             bad.append(f"cell {c}: stored area disagrees with shoelace formula")
         for f in mesh.cell_faces[c]:
             if mesh.face_length[f] > hK * (1 + 1e-12):
                 bad.append(f"cell {c}: face {f} longer than the cell diameter")
-        # Signs versus geometry: outward normal has positive flux through the loop.
+        # Signs versus geometry, on cells of at most four vertices: the
+        # outward normal has positive flux through the loop.
+        if len(mesh.cell_loops[c]) > 4:
+            continue
         cen = mesh.cell_centroid[c]
         for f, s in zip(mesh.cell_faces[c], mesh.cell_signs[c]):
             out = s * mesh.face_normal[f]
-            if np.dot(out, mesh.face_midpoint[f] - cen) <= 0 and len(pts) <= 4:
+            if np.dot(out, mesh.face_midpoint[f] - cen) <= 0:
                 bad.append(f"cell {c}: sign of face {f} disagrees with geometry")
 
     euler = mesh.n_vertices - mesh.n_faces + mesh.n_cells
@@ -670,22 +646,21 @@ def validate(mesh: Mesh) -> ValidationReport:
         bad.append(f"cell areas sum to {total}, boundary encloses "
                    f"{mesh.domain_area()}")
 
-    rho = np.inf
     try:
-        for c in range(mesh.n_cells):
-            tris = subtriangulate(mesh, c).triangles
-            hK = mesh.cell_diameter[c]
-            for t in tris:
-                e = np.linalg.norm(t - np.roll(t, -1, axis=0), axis=1)
-                area2 = abs((t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1])
-                            - (t[1, 1] - t[0, 1]) * (t[2, 0] - t[0, 0]))
-                hS = e.max()
-                rS = area2 / e.sum()   # inradius = 2*area / perimeter
-                rho = min(rho, rS / hS, hS / hK)
+        tris = [subtriangulate(mesh, c) for c in range(mesh.n_cells)]
     except MeshError as err:
         bad.append(f"sub-triangulation failed: {err}")
-        rho = 0.0
-    return ValidationReport(bad, float(rho))
+        return ValidationReport(bad, 0.0)
+    if not tris:
+        return ValidationReport(bad, float("inf"))
+    hK = np.repeat(mesh.cell_diameter, [len(t) for t in tris])
+    t = np.concatenate(tris)
+    e = np.linalg.norm(t - t[:, [1, 2, 0]], axis=2)
+    ab, ac = t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]
+    area2 = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+    hS = e.max(axis=1)
+    rS = area2 / e.sum(axis=1)   # inradius = 2*area / perimeter
+    return ValidationReport(bad, float(min(np.min(rS / hS), np.min(hS / hK))))
 
 
 # -- IO ------------------------------------------------------------------------
@@ -704,7 +679,7 @@ def save_mesh(mesh: Mesh, path) -> None:
                   for c in range(mesh.n_cells)],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))   # the C encoder; json.dump streams in Python
 
 
 def load_mesh(path) -> Mesh:

@@ -1,9 +1,9 @@
 """Quadrature rules exact to a declared degree on segments and polygons.
 
-Polygon rules are composite rules over the sub-triangulation of a cell, using
-a collapsed tensor (Duffy) Gauss rule on each triangle.  All weights are
-strictly positive and the rules integrate polynomials up to their declared
-degree exactly.
+Polygon rules are composite rules over the sub-triangulation of a cell: a
+collapsed tensor (Duffy) Gauss rule on the reference triangle, mapped onto all
+sub-triangles in one broadcast.  All weights are strictly positive and the
+rules integrate polynomials up to their declared degree exactly.
 
 The module also fixes every rule degree the solver uses.  Every local
 operator integrates products of discrete polynomials of degree at most k+2,
@@ -101,27 +101,19 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, w.ravel(), degree)
 
 
-def _map_to_triangle(ref: QuadratureRule, tri) -> tuple:
-    a, b, c = tri
-    jac = abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    pts = (a[None, :]
-           + np.outer(ref.points[:, 0], b - a)
-           + np.outer(ref.points[:, 1], c - a))
-    return pts, ref.weights * jac
-
-
 def cell_rule(mesh: Mesh, cell_id: int, degree: int) -> QuadratureRule:
     """Composite rule over the sub-triangulation of one cell.
 
     Exact for 2D polynomials of total degree up to `degree`; weights sum to
-    the cell area.
+    the cell area.  The reference rule is mapped onto all sub-triangles at
+    once.
     """
     ref = triangle_rule(degree)
-    tris = subtriangulate(mesh, cell_id).triangles
-    pts = np.empty((len(tris) * ref.n_points, 2))
-    wts = np.empty(len(tris) * ref.n_points)
-    for i, tri in enumerate(tris):
-        p, w = _map_to_triangle(ref, tri)
-        pts[i * ref.n_points:(i + 1) * ref.n_points] = p
-        wts[i * ref.n_points:(i + 1) * ref.n_points] = w
-    return QuadratureRule(pts, wts, degree)
+    tris = subtriangulate(mesh, cell_id)
+    a = tris[:, None, 0]
+    ab = tris[:, None, 1] - a
+    ac = tris[:, None, 2] - a
+    jac = np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+    pts = a + ref.points[:, :1] * ab + ref.points[:, 1:] * ac
+    return QuadratureRule(pts.reshape(-1, 2), (ref.weights * jac).ravel(),
+                          degree)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hhobiharm as hb
-from hhobiharm.mesh import MeshError, MeshFormatError
+from hhobiharm.mesh import MeshError, MeshFormatError, _polygon_moments
 
 
 def euler(mesh):
@@ -35,19 +35,65 @@ class TestRectMesh:
     def test_one_area_centroid_pass_per_cell(self, monkeypatch):
         import hhobiharm.mesh as mesh_mod
         calls = []
-        orig = mesh_mod._polygon_area_centroid
+        orig = mesh_mod._polygon_moments
 
-        def counting(pts):
+        def counting(points, loops):
             calls.append(1)
-            return orig(pts)
+            return orig(points, loops)
 
-        monkeypatch.setattr(mesh_mod, "_polygon_area_centroid", counting)
+        monkeypatch.setattr(mesh_mod, "_polygon_moments", counting)
         hb.build_rect_mesh(4, 4)
-        assert len(calls) == 16
+        assert len(calls) == 1
 
     def test_bad_args(self):
         with pytest.raises(MeshError):
             hb.build_rect_mesh(0, 3)
+
+
+class TestPolygonMoments:
+    @staticmethod
+    def shoelace(pts):
+        """Per-polygon reference, summed relative to the first vertex."""
+        rel = pts - pts[0]
+        x, y = rel.T
+        xn, yn = np.roll(rel, -1, axis=0).T
+        cross = x * yn - xn * y
+        area = 0.5 * np.sum(cross)
+        return area, pts[0] + np.array([np.sum((x + xn) * cross),
+                                        np.sum((y + yn) * cross)]) / (6.0 * area)
+
+    @pytest.mark.parametrize("maker", [lambda: hb.build_rect_mesh(3, 2),
+                                       lambda: hb.build_tri_mesh(2),
+                                       lambda: hb.build_voronoi_mesh(64, 3)])
+    def test_matches_per_polygon_shoelace(self, maker):
+        # Equal below 8 vertices, where np.sum adds in sequence as reduceat
+        # does; from 8 terms np.sum sums pairwise.
+        m = maker()
+        area, cen = _polygon_moments(m.vertices, m.cell_loops)
+        for c, loop in enumerate(m.cell_loops):
+            ref_area, ref_cen = self.shoelace(m.vertices[loop])
+            if len(loop) < 8:
+                assert area[c] == ref_area and np.array_equal(cen[c], ref_cen)
+            assert np.isclose(area[c], ref_area, rtol=1e-14, atol=0)
+            assert np.allclose(cen[c], ref_cen, rtol=0, atol=1e-16)
+
+    def test_reversed_loops_negate_areas_and_keep_centroids(self, vor64):
+        # Lloyd regions come in either orientation.
+        for m in (vor64, hb.build_rect_mesh(3, 2), hb.build_tri_mesh(2)):
+            area, cen = _polygon_moments(m.vertices, m.cell_loops)
+            r_area, r_cen = _polygon_moments(
+                m.vertices, [loop[::-1] for loop in m.cell_loops])
+            assert np.allclose(r_area, -area, rtol=1e-13, atol=0)
+            assert np.allclose(r_cen, cen, rtol=0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("apex", [(0.5, -1.0), (2.0, 0.0)],
+                             ids=["clockwise", "zero-area"])
+    def test_bad_orientation_or_area_names_the_cell(self, apex):
+        verts = np.array([[0, 0], [1, 0], [0, 1], apex], float)
+        with pytest.raises(MeshFormatError, match="cell 1: face loop is not "
+                           "counterclockwise or encloses no area"):
+            hb.Mesh.from_cell_loops(verts, [[0, 1, 2], [0, 1, 3]])
 
 
 class TestTriMesh:
@@ -165,6 +211,21 @@ class TestValidate:
     def test_single_square_euler(self):
         assert hb.validate(hb.build_rect_mesh(1, 1)).ok
 
+    @pytest.mark.parametrize("maker", [
+        lambda: hb.build_rect_mesh(3, 2), lambda: hb.build_voronoi_mesh(64, 3),
+        lambda: hb.build_polygon_mesh([[0, 0], [1, 0], [1, 1], [0.5, 0.2], [0, 1]])])
+    def test_shape_regularity_matches_per_triangle_loop(self, maker):
+        m = maker()
+        rho = np.inf
+        for c in range(m.n_cells):
+            for t in hb.subtriangulate(m, c):
+                e = np.linalg.norm(t - np.roll(t, -1, axis=0), axis=1)
+                area2 = abs((t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1])
+                            - (t[1, 1] - t[0, 1]) * (t[2, 0] - t[0, 0]))
+                rho = min(rho, area2 / e.sum() / e.max(),
+                          e.max() / m.cell_diameter[c])
+        assert hb.validate(m).shape_regularity == rho
+
     def test_zero_area_cell_named(self):
         verts = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1e-14]]
         m = hb.Mesh.from_cell_loops(np.array(verts, float),
@@ -177,36 +238,46 @@ class TestValidate:
 class TestSubTriangulate:
     def test_unit_square_fan(self):
         m = hb.build_rect_mesh(1, 1)
-        sub = hb.subtriangulate(m, 0)
-        assert len(sub.triangles) == 4
-        areas = [abs((t[1,0]-t[0,0])*(t[2,1]-t[0,1]) - (t[1,1]-t[0,1])*(t[2,0]-t[0,0])) / 2 for t in sub.triangles]
+        tris = hb.subtriangulate(m, 0)
+        assert len(tris) == 4
+        areas = [abs((t[1,0]-t[0,0])*(t[2,1]-t[0,1]) - (t[1,1]-t[0,1])*(t[2,0]-t[0,0])) / 2 for t in tris]
         assert np.allclose(areas, 0.25)
 
     def test_triangle_is_itself(self):
         m = hb.build_tri_mesh(1)
-        sub = hb.subtriangulate(m, 0)
-        assert len(sub.triangles) == 1
+        tris = hb.subtriangulate(m, 0)
+        assert len(tris) == 1
 
     def test_hexagon_additivity(self):
         ang = np.linspace(0, 2 * np.pi, 7)[:-1]
         verts = 0.5 + 0.4 * np.column_stack([np.cos(ang), np.sin(ang)])
         m = hb.build_polygon_mesh(verts)
-        sub = hb.subtriangulate(m, 0)
-        assert len(sub.triangles) == 6
-        areas = [abs((t[1,0]-t[0,0])*(t[2,1]-t[0,1]) - (t[1,1]-t[0,1])*(t[2,0]-t[0,0])) / 2 for t in sub.triangles]
+        tris = hb.subtriangulate(m, 0)
+        assert len(tris) == 6
+        areas = [abs((t[1,0]-t[0,0])*(t[2,1]-t[0,1]) - (t[1,1]-t[0,1])*(t[2,0]-t[0,0])) / 2 for t in tris]
         assert np.isclose(np.sum(areas), m.cell_area[0], rtol=1e-13)
 
     def test_nonconvex_ear_clipping(self):
         verts = np.array([[0, 0], [1, 0], [1, 1], [0.5, 0.2], [0, 1]], float)
         m = hb.build_polygon_mesh(verts)
-        sub = hb.subtriangulate(m, 0)
-        areas = [abs((t[1,0]-t[0,0])*(t[2,1]-t[0,1]) - (t[1,1]-t[0,1])*(t[2,0]-t[0,0])) / 2 for t in sub.triangles]
+        tris = hb.subtriangulate(m, 0)
+        areas = [abs((t[1,0]-t[0,0])*(t[2,1]-t[0,1]) - (t[1,1]-t[0,1])*(t[2,0]-t[0,0])) / 2 for t in tris]
         assert np.isclose(np.sum(areas), m.cell_area[0], rtol=1e-12)
-        for t in sub.triangles:
+        for t in tris:
             assert (t[1,0]-t[0,0])*(t[2,1]-t[0,1]) - (t[1,1]-t[0,1])*(t[2,0]-t[0,0]) > 0
 
 
 class TestMeshIO:
+    def test_unit_square_file_text(self, tmp_path):
+        path = tmp_path / "m.json"
+        hb.save_mesh(hb.build_rect_mesh(1, 1), path)
+        assert path.read_text() == (
+            '{"format": "hho-mesh-v1", '
+            '"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], '
+            '"faces": [{"v": [0, 1], "cells": [0]}, {"v": [1, 3], "cells": [0]}, '
+            '{"v": [3, 2], "cells": [0]}, {"v": [2, 0], "cells": [0]}], '
+            '"cells": [{"faces": [0, 1, 2, 3], "signs": [1, 1, 1, 1]}]}')
+
     def test_round_trip(self, tmp_path, rect22, vor16):
         for mesh in (rect22, vor16):
             path = tmp_path / "m.json"

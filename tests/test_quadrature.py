@@ -89,6 +89,28 @@ class TestCellRule:
                                            * r.points[:, 1] ** b)
                         assert got == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
+    def test_cell_rule_matches_per_triangle_map(self, vor64):
+        # The broadcast map must reproduce, bit for bit, the reference rule
+        # mapped onto one sub-triangle at a time.
+        nonconvex = hb.build_polygon_mesh(
+            [[0, 0], [1, 0], [1, 1], [0.5, 0.2], [0, 1]])
+        cases = [(hb.build_rect_mesh(3, 2), 4), (hb.build_tri_mesh(2), 5),
+                 (vor64, 11), (nonconvex, 0)]
+        for mesh, c in cases:
+            for degree in (4, 6, 9):
+                ref = triangle_rule(degree)
+                pts, wts = [], []
+                for a, b, cc in hb.subtriangulate(mesh, c):
+                    jac = abs((b[0] - a[0]) * (cc[1] - a[1])
+                              - (b[1] - a[1]) * (cc[0] - a[0]))
+                    pts.append(a[None, :]
+                               + np.outer(ref.points[:, 0], b - a)
+                               + np.outer(ref.points[:, 1], cc - a))
+                    wts.append(ref.weights * jac)
+                r = cell_rule(mesh, c, degree)
+                assert np.array_equal(r.points, np.concatenate(pts))
+                assert np.array_equal(r.weights, np.concatenate(wts))
+
     def test_weights_sum_to_area(self, vor64):
         for c in range(0, vor64.n_cells, 7):
             r = cell_rule(vor64, c, 6)

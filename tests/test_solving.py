@@ -72,6 +72,10 @@ class TestSolve:
         floor = 2.0 * np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x))
         assert res <= floor
 
+    def test_non_finite_residual_rejected(self):
+        with pytest.raises(hb.SolverError, match="direct solve residual nan"):
+            solve(hand_built_system([[4.0]], [float("nan")]))
+
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_nonpositive_direct_residual_rejected(self, value):
         with pytest.raises(ValueError, match="direct_residual"):
