@@ -10,11 +10,14 @@ at all.
 Interior faces carry 2k+3 unknowns each for variants A and C and 2k+4 for
 variant B.  The global unknowns are tied to the stored face orientations and
 the local vectors to each cell's loop frame; one +-1 per local face unknown
-carries the one into the other during scatter and gather.
+carries the one into the other during scatter and gather.  These signs are
+stacked per translation class, one row per member cell, and applied to the
+whole class at once.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -29,7 +32,7 @@ from .polyspace import CellBasis
 from .quadrature import (BC_EXTRA_DEGREE, RHS_EXTRA_DEGREE, QuadratureRule,
                          cell_degree, cell_rule, face_degree, face_rule)
 
-__all__ = ["BoundaryData", "DofMap", "CondensedSystem", "CellRecovery",
+__all__ = ["BoundaryData", "DofMap", "CondensedSystem", "ClassRecovery",
            "assemble", "recover_cells", "HHOSolution"]
 
 BC_MODES = ("strong", "nitsche")
@@ -53,10 +56,6 @@ class BoundaryData:
     @classmethod
     def from_case(cls, case):
         return cls(g_D=case.u, grad=case.grad)
-
-    @classmethod
-    def homogeneous(cls):
-        return cls()
 
     def dirichlet(self, pts):
         if self._g_D is None:
@@ -120,57 +119,44 @@ class DofMap:
     def dofs_per_interface(self):
         return self.trace_dim + self.normal_dim
 
-    def trace_dofs(self, f: int) -> np.ndarray:
-        start = self.face_offset[f]
-        if start < 0:
-            raise KeyError(f"face {f} carries no global unknowns")
-        return np.arange(start, start + self.trace_dim)
-
-    def normal_dofs(self, f: int) -> np.ndarray:
-        start = self.face_offset[f]
-        if start < 0:
-            raise KeyError(f"face {f} carries no global unknowns")
-        return np.arange(start + self.trace_dim,
-                         start + self.trace_dim + self.normal_dim)
-
 
 @dataclass
-class CellRecovery:
-    """Everything needed to recover and reconstruct one cell after the solve.
+class ClassRecovery:
+    """What recovers and reconstructs the cells of one translation class
+    after the solve; the stacked arrays have one row per member.
 
-    R, lifting, chol_TT and A_Trest belong to the cell's translation class
-    and are shared by reference.  Local vectors are in the cell's loop frame,
-    where every face runs along the cell's vertex loop and rec_basis is
-    centered at the translate of the class shape's origin.  rest_sign carries
-    a global face value into that frame: s^j on the j-th trace monomial and
-    s^(j+1) on the j-th normal monomial, s the stored face sign; rest_fixed
-    holds the prescribed values already in that frame.
+    R, lifting, chol_TT, A_Trest and rec_basis (centered at the origin) are
+    the class's.  Local vectors are in each member's loop frame, into which
+    rest_sign carries the global face values (see `_rest_map`).
     """
-    cell_id: int
-    rec_basis: object
+    members: np.ndarray         # cell ids, ascending
+    offsets: np.ndarray         # (m, 2) translations of the shape onto them
+    rec_basis: CellBasis
     R: np.ndarray
     lifting: Optional[np.ndarray]
     chol_TT: tuple
     A_Trest: np.ndarray
-    b_T: np.ndarray
-    rest_gidx: np.ndarray       # global index per rest dof, -1 if prescribed
-    rest_sign: np.ndarray       # +-1 applied when gathering global values
-    rest_fixed: np.ndarray      # prescribed local values (0 on unknowns)
+    b_T: np.ndarray             # (m, nc) cell rows of the right-hand side
+    rest_gidx: np.ndarray       # (m, n_rest) global index, -1 if prescribed
+    rest_sign: np.ndarray       # (m, n_rest) +-1 applied when gathering
+    rest_fixed: np.ndarray      # (m, n_rest) prescribed values, 0 on unknowns
 
-    def gather_rest(self, x: np.ndarray) -> np.ndarray:
-        vals = self.rest_fixed.copy()
-        m = self.rest_gidx >= 0
-        vals[m] = self.rest_sign[m] * x[self.rest_gidx[m]]
-        return vals
+    def gather_rest(self, x0: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Face unknowns of the members in `rows`, in their loop frames; `x0`
+        is the face solution and one zero, read by prescribed unknowns."""
+        return (self.rest_fixed[rows]
+                + self.rest_sign[rows] * x0[self.rest_gidx[rows]])
 
-    def cell_coeffs(self, x: np.ndarray) -> np.ndarray:
-        rest = self.gather_rest(x)
-        return sla.cho_solve(self.chol_TT, self.b_T - self.A_Trest @ rest)
+    def cell_coeffs(self, x0: np.ndarray) -> np.ndarray:
+        """Cell unknowns of every member, one row each (`x0` as above)."""
+        rest = self.gather_rest(x0)
+        return sla.cho_solve(self.chol_TT,
+                             (self.b_T - rest @ self.A_Trest.T).T).T
 
 
 @dataclass
 class CondensedSystem:
-    """Face-unknown SPD system plus per-cell recovery data."""
+    """Face-unknown SPD system plus per-class recovery data."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
@@ -179,7 +165,8 @@ class CondensedSystem:
     k: int
     bc_mode: str
     scaling: str
-    cells: list
+    classes: list
+    labels: np.ndarray          # index in `classes` of each cell's class
     prescribed: dict            # face id -> (trace coeffs, normal coeffs)
     assembly_time: float = 0.0
 
@@ -190,17 +177,20 @@ class CondensedSystem:
 
 @dataclass
 class HHOSolution:
-    """Recovered discrete solution: cell coefficients plus global face unknowns."""
+    """Recovered discrete solution: cell coefficients, one row per cell, plus
+    the global face unknowns."""
     system: CondensedSystem
     face_values: np.ndarray
-    cell_coeffs: list = field(default_factory=list)
+    cell_coeffs: np.ndarray
 
     def local_vector(self, cell_id: int) -> np.ndarray:
-        """Local unknowns of a cell in its loop frame (see `CellRecovery`),
+        """Local unknowns of a cell in its loop frame (see `ClassRecovery`),
         the frame of its R and lifting."""
-        rec = self.system.cells[cell_id]
+        cls = self.system.classes[self.system.labels[cell_id]]
+        row = np.searchsorted(cls.members, cell_id)
+        x0 = np.append(self.face_values, 0.0)
         return np.concatenate([self.cell_coeffs[cell_id],
-                               rec.gather_rest(self.face_values)])
+                               cls.gather_rest(x0, row)])
 
 
 def _prescribe_boundary(mesh, variant, k, bdata):
@@ -258,62 +248,72 @@ def _condense(shape, variant, k, nitsche, bdata, scaling, with_load, cell_id):
     return _Condensed(ops, chol, A_Trest, S_rr, rule, table)
 
 
-def _cell_contribution(mesh, c, loc, offset, f_load, prescribed, dofmap):
-    """Load, boundary bookkeeping, rhs condensation and scatter data of a cell.
+@lru_cache(maxsize=64)
+def _rest_map(layout):
+    """Face position, index in the face's global [trace | normal] block, and
+    power of the stored face sign s, of each rest unknown of a layout
+    (traces, then normals).  A face stored against the loop runs the other
+    way in the loop frame, so its odd monomials change sign (s^j on trace
+    monomial j), and its normal block also takes the orientation (s^(j+1)
+    on normal monomial j).  The arrays are cached, so they are read-only."""
+    td, nd = np.array(layout.trace_dims), np.array(layout.normal_dims)
+    jt = np.arange(td.sum()) - np.repeat(np.cumsum(td) - td, td)
+    jn = np.arange(nd.sum()) - np.repeat(np.cumsum(nd) - nd, nd)
+    pos = np.arange(layout.n_faces)
+    out = (np.concatenate([np.repeat(pos, td), np.repeat(pos, nd)]),
+           np.concatenate([jt, np.repeat(td, nd) + jn]),
+           np.concatenate([jt, jn + 1]))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
-    `loc` is its class build and `offset` the translation that carries the
-    class shape onto the cell.
+
+def _class_contribution(mesh, members, shape, loc, f_load, fixed_table,
+                        dofmap):
+    """Load, boundary bookkeeping, rhs condensation and scatter data of the
+    members of a translation class, whose build on `shape` is `loc`.
+
+    `fixed_table` holds each face's prescribed [trace | normal] values in
+    its stored orientation.  Returns the COO triple and the right-hand side
+    entries of the class, and its `ClassRecovery`.
     """
     ops = loc.ops
     lay = ops.layout
     nc = lay.cell_dim
+    m = len(members)
+    offsets = shape.offsets(mesh, members)
 
-    b = np.zeros(lay.n_total)
+    b = np.zeros((m, lay.n_total))
     if f_load is not None:
-        vals = np.asarray(f_load(loc.load_rule.points + offset),
-                          dtype=np.float64)
-        b[lay.cell_slice] = loc.load_table.T @ (loc.load_rule.weights * vals)
+        pts = loc.load_rule.points[None] + offsets[:, None]
+        vals = np.asarray(f_load(pts.reshape(-1, 2)),
+                          dtype=np.float64).reshape(m, -1)
+        b[:, :nc] = (vals * loc.load_rule.weights) @ loc.load_table
     if ops.load_boundary is not None:
         b += ops.load_boundary
 
-    # Rest-block bookkeeping: global index, prescribed value, and the sign
-    # from the stored face orientation s to the loop frame.  A face stored
-    # against the loop runs the other way there, so its odd monomials change
-    # sign, and its normal block also takes the orientation s.
-    n_rest = lay.n_total - nc
-    gidx = np.full(n_rest, -1, dtype=np.int64)
-    sign = np.ones(n_rest)
-    fixed = np.zeros(n_rest)
-    for a, f in enumerate(mesh.cell_faces[c]):
-        td, nd = lay.trace_dims[a], lay.normal_dims[a]
-        if td == 0:
-            continue
-        t0, n0 = lay.trace_slice(a).start - nc, lay.normal_slice(a).start - nc
-        s = float(mesh.cell_signs[c][a])
-        sign[t0:t0 + td] = s ** np.arange(td)
-        sign[n0:n0 + nd] = s ** np.arange(1, nd + 1)
-        if dofmap.face_offset[f] >= 0:
-            gidx[t0:t0 + td] = dofmap.trace_dofs(f)
-            gidx[n0:n0 + nd] = dofmap.normal_dofs(f)
-        else:
-            fixed[t0:t0 + td], fixed[n0:n0 + nd] = prescribed[f]
-    fixed *= sign
+    face, block, power = _rest_map(lay)
+    faces = np.array([mesh.cell_faces[c] for c in members])[:, face]
+    sign = np.array([mesh.cell_signs[c] for c in members],
+                    dtype=np.float64)[:, face] ** power
+    start = dofmap.face_offset[faces]
+    unk = start >= 0
+    gidx = np.where(unk, start + block, -1)
+    fixed = np.where(unk, 0.0, fixed_table[faces, block]) * sign
 
-    g_r = b[nc:] - loc.A_Trest.T @ sla.cho_solve(loc.chol_TT, b[:nc])
-    unk = gidx >= 0
-    S_uu = loc.S_rr[np.ix_(unk, unk)]
-    rhs_u = g_r[unk] - loc.S_rr[np.ix_(unk, ~unk)] @ fixed[~unk]
-    s_u = sign[unk]
-    S_glob = S_uu * np.outer(s_u, s_u)
-    rhs_glob = s_u * rhs_u
+    g_r = b[:, nc:] - sla.cho_solve(loc.chol_TT, b[:, :nc].T).T @ loc.A_Trest
+    rhs_loc = sign * (g_r - fixed @ loc.S_rr)
+    S = loc.S_rr * sign[:, :, None] * sign[:, None, :]
+    pair = unk[:, :, None] & unk[:, None, :]
+    rows = np.broadcast_to(gidx[:, :, None], S.shape)[pair]
+    cols = np.broadcast_to(gidx[:, None, :], S.shape)[pair]
 
-    rec_basis = CellBasis(offset, ops.rec_basis.scale, ops.rec_basis.degree,
-                          cell_id=c)
-    rec = CellRecovery(cell_id=c, rec_basis=rec_basis, R=ops.R,
-                       lifting=ops.lifting, chol_TT=loc.chol_TT,
-                       A_Trest=loc.A_Trest, b_T=b[:nc], rest_gidx=gidx,
-                       rest_sign=sign, rest_fixed=fixed)
-    return gidx[unk], S_glob, rhs_glob, rec
+    rec = ClassRecovery(members=members, offsets=offsets,
+                        rec_basis=ops.rec_basis, R=ops.R,
+                        lifting=ops.lifting, chol_TT=loc.chol_TT,
+                        A_Trest=loc.A_Trest, b_T=b[:, :nc], rest_gidx=gidx,
+                        rest_sign=sign, rest_fixed=fixed)
+    return (rows, cols, S[pair]), (gidx[unk], rhs_loc[unk]), rec
 
 
 def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
@@ -327,70 +327,68 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
     factor of its cell block, the Schur complement and the load table.  In
     Nitsche mode each boundary cell is a class of one, since its data terms
     depend on where it is; its boundary data is evaluated at the translated
-    points.  Per member cell: integrate the load at the translated points,
-    carry the face unknowns between the stored orientation and the cell's
-    loop frame with an exact +-1 per unknown, eliminate the cell block from
-    the right-hand side, and scatter the Schur complement.  The class build
-    is dropped before the next class starts.  In strong mode, boundary-face
-    unknowns are prescribed from the boundary data (canonical interpolation
-    of g_D, L^2 projection of g_N) and moved to the right-hand side.  The
-    result is symmetric positive definite.
+    points.  For all members of a class at once: integrate the load at the
+    translated points, carry the face unknowns between the stored
+    orientation and each cell's loop frame with an exact +-1 per unknown,
+    eliminate the cell block from the right-hand side, and scatter the Schur
+    complement.  The class build is dropped before the next class starts.
+    In strong mode, boundary-face unknowns are prescribed from the boundary
+    data (canonical interpolation of g_D, L^2 projection of g_N) and moved to
+    the right-hand side.  The result is symmetric positive definite.
     """
     t0 = time.perf_counter()
     dofmap = DofMap.create(mesh, variant, k, bc_mode)
     nitsche = bc_mode == "nitsche"
     prescribed = {}
+    fixed_table = np.zeros((mesh.n_faces, dofmap.dofs_per_interface))
     if bc_mode == "strong":
         prescribed = _prescribe_boundary(mesh, variant, k, bdata)
+        for face, (tr, nm) in prescribed.items():
+            fixed_table[face] = np.concatenate([tr, nm])
 
     labels = translation_classes(mesh)
     if nitsche:
         on_boundary = np.unique(mesh.face_cells[mesh.is_boundary_face, 0])
         labels[on_boundary] = labels.max() + 1 + np.arange(len(on_boundary))
-    results = [None] * mesh.n_cells
+        # Number the classes 0, 1, ... again: a class may have lost every
+        # member to the boundary.
+        labels = np.unique(labels, return_inverse=True)[1]
+    triples, loads, classes = [], [], []
     for members in class_members(labels):
         shape = CellShape(mesh, members[0])
         data = (None if bdata is None
-                else bdata.translated(shape.offset(mesh, members[0])))
+                else bdata.translated(shape.offsets(mesh, members[:1])[0]))
         loc = _condense(shape, variant, k, nitsche, data, scaling,
                         f is not None, cell_id=members[0])
-        for c in members:
-            results[c] = _cell_contribution(mesh, c, loc,
-                                            shape.offset(mesh, c), f,
-                                            prescribed, dofmap)
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dofmap.n_dofs)
-    recs = []
-    for gidx, S_glob, rhs_glob, rec in results:
-        recs.append(rec)
-        if len(gidx):
-            rr, cc = np.meshgrid(gidx, gidx, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(S_glob.ravel())
-            np.add.at(rhs, gidx, rhs_glob)
+        triple, load, rec = _class_contribution(mesh, members, shape, loc, f,
+                                                fixed_table, dofmap)
+        triples.append(triple)
+        loads.append(load)
+        classes.append(rec)
 
     n = dofmap.n_dofs
-    if rows:
-        matrix = sp.coo_matrix((np.concatenate(vals),
-                                (np.concatenate(rows), np.concatenate(cols))),
-                               shape=(n, n)).tocsr()
-    else:
-        matrix = sp.csr_matrix((n, n))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triples))
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    gidx, rhs_vals = (np.concatenate(part) for part in zip(*loads))
+    rhs = np.bincount(gidx, weights=rhs_vals, minlength=n)
     return CondensedSystem(matrix=matrix, rhs=rhs, dofmap=dofmap, mesh=mesh,
                            variant=variant, k=k, bc_mode=bc_mode,
-                           scaling=scaling, cells=recs, prescribed=prescribed,
+                           scaling=scaling, classes=classes, labels=labels,
+                           prescribed=prescribed,
                            assembly_time=time.perf_counter() - t0)
 
 
 def recover_cells(system: CondensedSystem, face_values: np.ndarray) -> HHOSolution:
-    """Recover the cell unknowns from the face solution (local back-solves)."""
+    """Recover the cell unknowns from the face solution: one local back-solve
+    per translation class, for all its members at once."""
     face_values = np.asarray(face_values, dtype=np.float64)
     if len(face_values) != system.n_dofs:
         raise ValueError(f"face solution has length {len(face_values)}, "
                          f"expected {system.n_dofs}")
-    sol = HHOSolution(system=system, face_values=face_values)
-    for rec in system.cells:
-        sol.cell_coeffs.append(rec.cell_coeffs(face_values))
-    return sol
+    x0 = np.append(face_values, 0.0)
+    nc = system.classes[0].b_T.shape[1]
+    coeffs = np.empty((len(system.labels), nc))
+    for cls in system.classes:
+        coeffs[cls.members] = cls.cell_coeffs(x0)
+    return HHOSolution(system=system, face_values=face_values,
+                       cell_coeffs=coeffs)

@@ -52,7 +52,8 @@ class RunConfig:
         if not 0 <= self.k <= 5:
             raise ConfigError(f"k must be in [0, 5], got {self.k}")
         if self.bc_mode not in ("strong", "nitsche"):
-            raise ConfigError(f"bc_mode must be strong or nitsche")
+            raise ConfigError("bc_mode must be strong or nitsche, got "
+                              f"{self.bc_mode!r}")
         if self.bc_mode == "nitsche" and self.variant == "C":
             raise ConfigError("the Nitsche mode supports variants A and B only")
         if self.scaling not in STAB_SCALINGS:
@@ -124,11 +125,6 @@ def _merge_config(args) -> RunConfig:
     return cfg.check()
 
 
-def _print_config(cfg: RunConfig):
-    for f in fields(RunConfig):
-        print(f"{f.name} = {getattr(cfg, f.name)}")
-
-
 def _add_run_flags(p):
     p.add_argument("--config", help="flat key=value configuration file")
     p.add_argument("--print-config", action="store_true",
@@ -156,11 +152,7 @@ def _report_csv_path(cfg, tag=None):
     return out / f"report_{name}.csv"
 
 
-def cmd_mesh(args) -> int:
-    cfg = _merge_config(args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def cmd_mesh(cfg, args) -> int:
     mesh = cfg.build_mesh()
     out = args.out or "mesh.json"
     save_mesh(mesh, out)
@@ -170,11 +162,7 @@ def cmd_mesh(args) -> int:
     return 0 if report.ok else 3
 
 
-def cmd_solve(args) -> int:
-    cfg = _merge_config(args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def cmd_solve(cfg, args) -> int:
     mesh = cfg.build_mesh()
     case = get_case(cfg.case)
     report, _, _ = solve_and_measure(
@@ -207,21 +195,13 @@ def _run_family(cfg, variant, bc_mode, tag):
     return table
 
 
-def cmd_convergence(args) -> int:
-    cfg = _merge_config(args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def cmd_convergence(cfg, args) -> int:
     _run_family(cfg, cfg.variant, cfg.bc_mode,
                 f"{cfg.variant}_k{cfg.k}_{cfg.bc_mode}")
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _merge_config(args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def cmd_compare(cfg, args) -> int:
     tables = {}
     if args.what == "variants":
         for variant in ("A", "B", "C"):
@@ -277,7 +257,12 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _merge_config(args)
+        if args.print_config:
+            for f in fields(RunConfig):
+                print(f"{f.name} = {getattr(cfg, f.name)}")
+            return 0
+        return args.fn(cfg, args)
     except (ConfigError, MeshError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -179,8 +179,8 @@ class _CellWork:
         return 0.5 * (M + M.T)
 
     def saddle_solve(self, rhs, moments=None):
-        """Solve the bordered Hessian system for one or many right-hand sides."""
-        rhs = np.atleast_2d(rhs.T).T if rhs.ndim == 1 else rhs
+        """Solve the bordered Hessian system for a block of right-hand sides,
+        one per column."""
         ncol = rhs.shape[1]
         full = np.zeros((self.rec_dim + 3, ncol))
         full[:self.rec_dim] = rhs

@@ -332,10 +332,11 @@ class CellShape:
     def cell_polygon(self, c: int) -> np.ndarray:
         return self.vertices
 
-    def offset(self, mesh: Mesh, c: int) -> np.ndarray:
-        """Translation that carries this shape onto cell c of `mesh`, first
-        vertex onto first vertex."""
-        return mesh.vertices[mesh.cell_loops[c][0]] - self.vertices[0]
+    def offsets(self, mesh: Mesh, cells) -> np.ndarray:
+        """Translations that carry this shape onto the given cells of `mesh`,
+        first vertex onto first vertex: one row per cell."""
+        first = [mesh.cell_loops[c][0] for c in cells]
+        return mesh.vertices[first] - self.vertices[0]
 
 
 def translation_classes(mesh: Mesh) -> np.ndarray:

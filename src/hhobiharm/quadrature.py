@@ -54,9 +54,6 @@ class QuadratureRule:
     def n_points(self):
         return len(self.weights)
 
-    def integrate(self, values):
-        return self.weights @ values
-
 
 @lru_cache(maxsize=64)
 def segment_rule(n_points: int) -> QuadratureRule:

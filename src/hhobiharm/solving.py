@@ -176,17 +176,43 @@ def solve(system: CondensedSystem, config: SolveConfig = SolveConfig()) -> np.nd
 def reconstruct_field(system: CondensedSystem, solution) -> list:
     """Cellwise reconstruction R(u) of the discrete solution.
 
-    Accepts the face solution vector or a recovered HHOSolution.  In Nitsche
-    mode the stored boundary-data lifting is added on boundary cells.
+    Accepts the face solution vector or a recovered HHOSolution.  One
+    product with R per translation class; in Nitsche mode the stored
+    boundary-data lifting is added on boundary cells.
     """
     if not isinstance(solution, HHOSolution):
         solution = recover_cells(system, solution)
-    out = []
-    for rec in system.cells:
-        coeffs = rec.R @ solution.local_vector(rec.cell_id)
-        if system.bc_mode == "nitsche" and rec.lifting is not None:
-            coeffs = coeffs + rec.lifting
-        out.append(PolyCoeffs(rec.rec_basis, coeffs))
+    x0 = np.append(solution.face_values, 0.0)
+    out = [None] * len(system.labels)
+    for cls in system.classes:
+        local = np.hstack([solution.cell_coeffs[cls.members],
+                           cls.gather_rest(x0)])
+        coeffs = local @ cls.R.T
+        if cls.lifting is not None:         # Nitsche mode only
+            coeffs += cls.lifting
+        b = cls.rec_basis
+        for c, offset, row in zip(cls.members, cls.offsets, coeffs):
+            out[c] = PolyCoeffs(CellBasis(offset, b.scale, b.degree, c), row)
+    return out
+
+
+def _field_values(polys, pts, ref_pts, h, offsets, orders):
+    """Derivatives of the given orders of the fields at their cells' points,
+    shape (len(orders), m, nq).  Fields whose basis is the class shape's
+    carried onto their cell, as `assemble` builds them, share one table on
+    the shape's points `ref_pts`; any other field gets tables of its own."""
+    deg = polys[0].basis.degree
+    shared = np.array([p.basis.scale == h and p.basis.degree == deg
+                       and np.array_equal(p.basis.center, o)
+                       for p, o in zip(polys, offsets)])
+    out = np.empty((len(orders),) + pts.shape[:2])
+    if shared.any():
+        tab = CellBasis(np.zeros(2), h, deg).tables(ref_pts, orders)
+        C = np.array([p.coeffs for p, s in zip(polys, shared) if s])
+        out[:, shared] = C @ np.stack([tab[o].T for o in orders])
+    for i in np.flatnonzero(~shared):
+        tab = polys[i].basis.tables(pts[i], orders)
+        out[:, i] = [tab[o] @ polys[i].coeffs for o in orders]
     return out
 
 
@@ -195,9 +221,9 @@ def error_norms(mesh, fld, case, k, dofs=0,
     """Relative broken-Hessian and L^2 errors of a reconstructed field.
 
     Works one translation class of cells (see `translation_classes`) at a
-    time: the class shares one cell rule, built on its `CellShape`, and the
-    basis tables of the fields whose basis sits on that shape carried onto
-    the cell, as `assemble` builds them.  Other fields get per-cell tables.
+    time: the class shares one cell rule, built on its `CellShape`, the
+    exact solution is sampled once on the points of all its members, and the
+    fields whose basis sits on that shape share one basis table.
     """
     deg = cell_degree(k) + ERROR_EXTRA_DEGREE
     orders = [(0, 0), (2, 0), (1, 1), (0, 2)]
@@ -209,31 +235,19 @@ def error_norms(mesh, fld, case, k, dofs=0,
         shape = CellShape(mesh, members[0])
         rule = cell_rule(shape, 0, deg)
         h, w = shape.cell_diameter[0], rule.weights
-        tables = {}
-        for c in members:
-            poly = fld[c]
-            basis = poly.basis
-            offset = shape.offset(mesh, c)
-            pts = rule.points + offset
-            if basis.scale == h and np.array_equal(basis.center, offset):
-                if basis.degree not in tables:
-                    tables[basis.degree] = CellBasis(
-                        np.zeros(2), h, basis.degree).tables(rule.points, orders)
-                tab = tables[basis.degree]
-            else:
-                tab = basis.tables(pts, orders)
-            uex = np.asarray(case.u(pts), dtype=np.float64)
-            hex_ = np.asarray(case.hess(pts), dtype=np.float64)
-            vals = tab[(0, 0)] @ poly.coeffs
-            hxx = tab[(2, 0)] @ poly.coeffs
-            hxy = tab[(1, 1)] @ poly.coeffs
-            hyy = tab[(0, 2)] @ poly.coeffs
-            e_l2[c] = w @ (vals - uex) ** 2
-            n_l2[c] = w @ uex ** 2
-            e_h2[c] = w @ ((hxx - hex_[:, 0]) ** 2 + 2 * (hxy - hex_[:, 1]) ** 2
-                           + (hyy - hex_[:, 2]) ** 2)
-            n_h2[c] = w @ (hex_[:, 0] ** 2 + 2 * hex_[:, 1] ** 2
-                           + hex_[:, 2] ** 2)
+        offsets = shape.offsets(mesh, members)
+        pts = rule.points[None] + offsets[:, None]
+        flat, (m, nq) = pts.reshape(-1, 2), pts.shape[:2]
+        uex = np.asarray(case.u(flat), dtype=np.float64).reshape(m, nq)
+        hex_ = np.asarray(case.hess(flat), dtype=np.float64).reshape(m, nq, 3)
+        vals, hxx, hxy, hyy = _field_values([fld[c] for c in members], pts,
+                                            rule.points, h, offsets, orders)
+        e_l2[members] = (vals - uex) ** 2 @ w
+        n_l2[members] = uex ** 2 @ w
+        e_h2[members] = ((hxx - hex_[..., 0]) ** 2 + 2 * (hxy - hex_[..., 1]) ** 2
+                         + (hyy - hex_[..., 2]) ** 2) @ w
+        n_h2[members] = (hex_[..., 0] ** 2 + 2 * hex_[..., 1] ** 2
+                         + hex_[..., 2] ** 2) @ w
     h2_den = np.sqrt(np.sum(n_h2))
     l2_den = np.sqrt(np.sum(n_l2))
     return ErrorReport(
@@ -304,7 +318,7 @@ def solve_and_measure(mesh, variant, k, bc_mode, case,
 def convergence_study(meshes, variant, k, bc_mode, case, scaling="k2-all",
                       csv_path=None, progress=None) -> RateTable:
     """Run a refinement family (coarse to fine) and fit convergence slopes."""
-    reports = []
+    reports, failure = [], None
     try:
         for mesh in meshes:
             report, _, _ = solve_and_measure(mesh, variant, k, bc_mode, case,
@@ -312,14 +326,14 @@ def convergence_study(meshes, variant, k, bc_mode, case, scaling="k2-all",
             reports.append(report)
             if progress is not None:
                 progress(report)
-    except SolverError:
+    except SolverError as err:
         if not reports:
             raise
-        table = RateTable(reports)
-        if csv_path:
-            table.to_csv(csv_path)
-        raise
+        failure = err
+    # A failed level still leaves the levels before it in the CSV.
     table = RateTable(reports)
     if csv_path:
         table.to_csv(csv_path)
+    if failure is not None:
+        raise failure
     return table

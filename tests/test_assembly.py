@@ -53,8 +53,9 @@ def dense_full_system(mesh, variant, k, bc_mode, case, scaling="k2-all"):
                 continue
             tsl, nsl = lay.trace_slice(a), lay.normal_slice(a)
             if dm.face_offset[f] >= 0:
-                gidx[tsl] = n_cells_tot + dm.trace_dofs(f)
-                gidx[nsl] = n_cells_tot + dm.normal_dofs(f)
+                start = n_cells_tot + dm.face_offset[f]
+                gidx[tsl] = start + np.arange(dm.trace_dim)
+                gidx[nsl] = start + dm.trace_dim + np.arange(dm.normal_dim)
                 sign[nsl] = mesh.cell_signs[c][a]
             else:
                 tr, nm = prescribed[f]
@@ -233,6 +234,7 @@ class TestDenseSchurOracle:
         ("rect22", "A", "strong"),
         ("vor16", "A", "nitsche"),
         ("rect43_flipped", "B", "nitsche"),
+        ("rect43_flipped", "A", "strong"),
     ])
     def test_recovered_cells_match_dense_solve(self, mesh_name, variant, bc,
                                                request):
@@ -261,6 +263,51 @@ class TestDenseSchurOracle:
         full = np.concatenate([np.concatenate(sol.cell_coeffs), x])
         res = np.linalg.norm(A @ full - b) / np.linalg.norm(b)
         assert res <= 1e-9
+
+
+def per_face_rest_bookkeeping(mesh, c, lay, dm):
+    """Global index and loop-frame sign of every rest unknown of a cell, one
+    face at a time (oracle for `_rest_map`)."""
+    nc = lay.cell_dim
+    gidx = np.full(lay.n_total - nc, -1, dtype=np.int64)
+    sign = np.ones(lay.n_total - nc)
+    for a, f in enumerate(mesh.cell_faces[c]):
+        td, nd = lay.trace_dims[a], lay.normal_dims[a]
+        if td == 0:
+            continue
+        t0, n0 = lay.trace_slice(a).start - nc, lay.normal_slice(a).start - nc
+        s = float(mesh.cell_signs[c][a])
+        sign[t0:t0 + td] = s ** np.arange(td)
+        sign[n0:n0 + nd] = s ** np.arange(1, nd + 1)
+        if dm.face_offset[f] >= 0:
+            gidx[t0:t0 + td] = dm.face_offset[f] + np.arange(td)
+            gidx[n0:n0 + nd] = dm.face_offset[f] + td + np.arange(nd)
+    return gidx, sign
+
+
+class TestRestMap:
+    # rect43_flipped has a face stored against one of its cells' loops; in
+    # Nitsche mode the boundary cells' layouts skip their boundary faces.
+    @pytest.mark.parametrize("mesh_name", ["rect43_flipped", "vor16"])
+    @pytest.mark.parametrize("variant,bc", [("A", "strong"), ("B", "strong"),
+                                            ("C", "strong"), ("A", "nitsche"),
+                                            ("B", "nitsche")])
+    @pytest.mark.parametrize("k", range(4))
+    def test_matches_per_face_loop(self, mesh_name, variant, bc, k, request):
+        from hhobiharm.assembly import _rest_map
+        from hhobiharm.localops import make_layout
+
+        mesh = request.getfixturevalue(mesh_name)
+        dm = DofMap.create(mesh, variant, k, bc)
+        for c in range(mesh.n_cells):
+            lay = make_layout(mesh, c, variant, k, nitsche=bc == "nitsche")
+            face, block, power = _rest_map(lay)
+            start = dm.face_offset[mesh.cell_faces[c][face]]
+            gidx = np.where(start >= 0, start + block, -1)
+            sign = mesh.cell_signs[c][face].astype(np.float64) ** power
+            want_gidx, want_sign = per_face_rest_bookkeeping(mesh, c, lay, dm)
+            assert np.array_equal(gidx, want_gidx)
+            assert np.array_equal(sign, want_sign)
 
 
 class TestBoundaryConditions:

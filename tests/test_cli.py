@@ -99,11 +99,23 @@ class TestCompareCommand:
 
 
 class TestConfigHandling:
-    def test_print_config(self, capsys):
-        assert run(["solve", "--print-config"]) == 0
+    @pytest.mark.parametrize("command",
+                             ["mesh", "solve", "convergence", "compare"])
+    def test_print_config(self, command, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the mesh was built")
+
+        monkeypatch.setattr(cli.RunConfig, "build_mesh", unreachable)
+        assert run([command, "--print-config"]) == 0
         out = capsys.readouterr().out
         assert "variant = A" in out
         assert "k = 1" in out
+
+    def test_bad_bc_mode_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bc_mode = weak\n")
+        assert run(["solve", "--config", str(cfg)]) == 2
+        assert "'weak'" in capsys.readouterr().err
 
     def test_config_file_merge(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import csv
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ def hand_built_system(matrix, rhs):
     return CondensedSystem(matrix=sp.csr_matrix(np.array(matrix)),
                            rhs=np.array(rhs), dofmap=dm, mesh=None,
                            variant="A", k=0, bc_mode="strong",
-                           scaling="plain", cells=[], prescribed={})
+                           scaling="plain", classes=[],
+                           labels=np.zeros(0, dtype=np.int64), prescribed={})
 
 
 class TestSolve:
@@ -90,16 +92,23 @@ class TestReconstructField:
             pts = vor16.cell_polygon(c)
             assert np.allclose(fld[c](pts), case.u(pts), atol=1e-10)
 
-    def test_matrix_action_definition(self, rect22):
+    # In Nitsche mode every rect22 cell touches the boundary, so the one
+    # translation class loses all its members to classes of one.
+    @pytest.mark.parametrize("bc", ["strong", "nitsche"])
+    def test_matrix_action_definition(self, rect22, bc):
         case = hb.get_case("1")
-        sys_ = assemble(rect22, "A", 1, "strong", f=case.f)
+        sys_ = assemble(rect22, "A", 1, bc, f=case.f,
+                        bdata=hb.BoundaryData.from_case(case))
         x = solve(sys_)
         sol = recover_cells(sys_, x)
         fld = reconstruct_field(sys_, sol)
         for c in range(rect22.n_cells):
-            rec = sys_.cells[c]
+            rec = sys_.classes[sys_.labels[c]]
             local = sol.local_vector(c)
-            assert np.allclose(fld[c].coeffs, rec.R @ local, atol=1e-14)
+            expected = rec.R @ local
+            if bc == "nitsche":
+                expected = expected + rec.lifting
+            assert np.allclose(fld[c].coeffs, expected, atol=1e-14)
 
 
 class TestErrorNorms:
@@ -110,13 +119,21 @@ class TestErrorNorms:
         assert report.err_h2_rel < 1e-11
         assert report.err_l2_rel < 1e-11
 
+    # With `moved`, two cells of the class carry a basis off the class
+    # shape and need tables of their own.
+    @pytest.mark.parametrize("moved", [(), (1, 5)])
     @pytest.mark.parametrize("k", [0, 2])
-    def test_shared_rule_matches_per_cell_quadrature(self, k):
+    def test_shared_rule_matches_per_cell_quadrature(self, k, moved):
+        from hhobiharm.polyspace import CellBasis, PolyCoeffs
         from hhobiharm.quadrature import cell_rule
         mesh = hb.build_rect_mesh(4, 3)
         assert np.all(hb.translation_classes(mesh) == 0)
         case = hb.get_case("2")
         _, _, fld = hb.solve_and_measure(mesh, "A", k, "strong", case)
+        for c in moved:
+            b = fld[c].basis
+            fld[c] = PolyCoeffs(CellBasis(b.center + 0.01, b.scale, b.degree),
+                                fld[c].coeffs)
         got = error_norms(mesh, fld, case, k)
         e = np.zeros((4, mesh.n_cells))
         for c in range(mesh.n_cells):
@@ -132,6 +149,25 @@ class TestErrorNorms:
         s = np.sqrt(e.sum(axis=1))
         assert got.err_h2_rel == pytest.approx(s[0] / s[1], rel=1e-13)
         assert got.err_l2_rel == pytest.approx(s[2] / s[3], rel=1e-13)
+
+    def test_data_sampled_once_per_class(self):
+        # All 64 cells of a rect mesh form one translation class.
+        mesh = hb.build_rect_mesh(8, 8)
+        case = hb.get_case("1")
+        calls = {"f": 0, "u": 0, "hess": 0}
+
+        def counted(name, fn):
+            def wrapper(pts):
+                calls[name] += 1
+                return fn(pts)
+            return wrapper
+
+        sys_ = assemble(mesh, "A", 1, "strong", f=counted("f", case.f))
+        fld = reconstruct_field(sys_, solve(sys_))
+        probe = types.SimpleNamespace(u=counted("u", case.u),
+                                      hess=counted("hess", case.hess))
+        error_norms(mesh, fld, probe, 1)
+        assert calls == {"f": 1, "u": 1, "hess": 1}
 
     def test_norm_quadrature_sinsq(self):
         # || sin^2(pi x) sin^2(pi y) ||_{L2}^2 = 9/64
@@ -222,3 +258,32 @@ class TestStudy:
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("failing_level", [0, 1])
+    def test_solver_error_keeps_finished_levels(self, tmp_path, monkeypatch,
+                                                failing_level):
+        import hhobiharm.solving as solving_mod
+
+        real = solving_mod.solve_and_measure
+        calls = []
+
+        def failing(mesh, *args, **kwargs):
+            calls.append(mesh)
+            if len(calls) == failing_level + 1:
+                raise hb.SolverError("no certified factorization")
+            return real(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(solving_mod, "solve_and_measure", failing)
+        meshes = [hb.build_rect_mesh(n, n) for n in (2, 4, 8)]
+        path = tmp_path / "study.csv"
+        with pytest.raises(hb.SolverError, match="no certified"):
+            hb.convergence_study(meshes, "A", 0, "strong", hb.get_case("1"),
+                                 csv_path=path)
+        assert len(calls) == failing_level + 1
+        if failing_level == 0:
+            assert not path.exists()
+        else:
+            with open(path) as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == CSV_HEADER
+            assert len(rows) == 2
