@@ -69,7 +69,7 @@ class BoundaryData:
             return np.asarray(self._grad(pts), dtype=np.float64) @ normal
         return np.zeros(len(pts))
 
-    def boundary_gradient(self, pts, normal, tangent):
+    def boundary_gradient(self, pts):
         """Gradient G on a boundary face, as an (n, 2) array."""
         if self._grad is not None:
             return np.asarray(self._grad(pts), dtype=np.float64)

@@ -17,7 +17,7 @@ bound).
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 
@@ -202,11 +202,16 @@ def cmd_convergence(cfg, args) -> int:
 
 
 def cmd_compare(cfg, args) -> int:
-    tables = {}
     if args.what == "variants":
-        for variant in ("A", "B", "C"):
-            tables[variant] = _run_family(cfg, variant, cfg.bc_mode,
-                                          f"{variant}_k{cfg.k}_{cfg.bc_mode}")
+        runs = {v: (v, cfg.bc_mode) for v in ("A", "B", "C")}
+    else:
+        runs = {mode: (cfg.variant, mode) for mode in ("strong", "nitsche")}
+    # An unsupported pair (Nitsche with variant C) fails before any solve.
+    for variant, mode in runs.values():
+        replace(cfg, variant=variant, bc_mode=mode).check()
+    tables = {key: _run_family(cfg, v, mode, f"{v}_k{cfg.k}_{mode}")
+              for key, (v, mode) in runs.items()}
+    if args.what == "variants":
         errs = {v: [r.err_h2_rel for r in t.reports] for v, t in tables.items()}
         for lvl in range(len(errs["A"])):
             vals = [errs[v][lvl] for v in ("A", "B", "C")]
@@ -214,9 +219,6 @@ def cmd_compare(cfg, args) -> int:
                   + " / ".join(f"{e:.4e}" for e in vals)
                   + f"  (max/min = {max(vals) / min(vals):.2f})")
     else:
-        for mode in ("strong", "nitsche"):
-            tables[mode] = _run_family(cfg, cfg.variant, mode,
-                                       f"{cfg.variant}_k{cfg.k}_{mode}")
         for lvl, (rs, rn) in enumerate(zip(tables["strong"].reports,
                                            tables["nitsche"].reports)):
             print(f"level {lvl}: strong/nitsche H2 ratio = "

@@ -99,17 +99,10 @@ def make_layout(mesh: Mesh, cell_id: int, variant: str, k: int,
     if nitsche and variant == "C":
         raise ConfigError("the Nitsche mode is only available for variants A and B")
     cell_deg, trace_deg, normal_deg = space_degrees(variant, k)
-    faces = mesh.cell_faces[cell_id]
-    td, nd = [], []
-    for f in faces:
-        if nitsche and mesh.is_boundary_face[f]:
-            td.append(0)
-            nd.append(0)
-        else:
-            td.append(trace_deg + 1)
-            nd.append(normal_deg + 1)
+    bare = nitsche & mesh.is_boundary_face[mesh.cell_faces[cell_id]]
     return LocalDofLayout(variant, k, nitsche, space_dim(cell_deg),
-                          tuple(td), tuple(nd))
+                          tuple(np.where(bare, 0, trace_deg + 1).tolist()),
+                          tuple(np.where(bare, 0, normal_deg + 1).tolist()))
 
 
 @dataclass
@@ -127,20 +120,23 @@ class LocalOperators:
 
 
 class _CellWork:
-    """Quadrature tables and factorizations shared by all builders of a cell."""
+    """Quadrature tables and factorizations shared by all builders of a cell.
+
+    Every face table carries a leading face axis, faces in loop order, and is
+    built in one pass over the cell's faces; the builders are stacked
+    expressions over that axis.  `active` indexes the faces that carry
+    unknowns (all of them, except the boundary faces in Nitsche mode) and
+    `boundary` the boundary faces.  Stacked face terms are summed over axis 0,
+    which adds them in loop order, so every operator has the bits of a
+    face-by-face sum.
+    """
 
     def __init__(self, mesh, cell_id, variant, k, nitsche=False):
-        self.mesh = mesh
-        self.cell_id = cell_id
         self.variant = variant
         self.k = k
         self.nitsche = nitsche
         self.layout = make_layout(mesh, cell_id, variant, k, nitsche)
         self.h = mesh.cell_diameter[cell_id]
-        self.faces = mesh.cell_faces[cell_id]
-        self.signs = mesh.cell_signs[cell_id]
-        cell_deg, self.trace_deg, self.normal_deg = space_degrees(variant, k)
-        self.cell_deg = cell_deg
 
         self.rec_basis = CellBasis.for_cell(mesh, cell_id, k + 2)
         self.rec_dim = self.rec_basis.dim
@@ -172,11 +168,44 @@ class _CellWork:
         K[self.rec_dim:, :self.rec_dim] = M3
         self.saddle = sla.lu_factor(K)
 
-        self._faces = [self._face_tables(a) for a in range(len(self.faces))]
+        self.mesh = mesh
+        self.faces = mesh.cell_faces[cell_id]
+        self.boundary = np.flatnonzero(mesh.is_boundary_face[self.faces])
+        self.active = np.flatnonzero(self.layout.trace_dims)
+        # Width of an active face's trace and normal blocks; the normal
+        # blocks start after all trace blocks.
+        _, trace_deg, normal_deg = space_degrees(variant, k)
+        self.td, self.nd = trace_deg + 1, normal_deg + 1
+        self.n0 = self.cell_dim + sum(self.layout.trace_dims)
+        # The cell block of the local vector as a map into P^{k+2}(K).
+        self.embed = np.zeros((self.rec_dim, self.layout.n_total))
+        self.embed[:self.cell_dim, :self.cell_dim] = np.eye(self.cell_dim)
+        rule = face_rule(mesh, self.faces, face_degree(k))
+        self.w = rule.weights
+        self.n = mesh.cell_signs[cell_id][:, None] * mesh.face_normal[self.faces]
+        self.t = mesh.face_tangent[self.faces]
+        fb = FaceBasis.for_face(mesh, self.faces, k + 2)
+        self.Psi = fb.eval(rule.points)
+        self.dPsi = fb.eval(rule.points, 1)
+        self.Mf = self._sym(_wdot(self.Psi, self.w, self.Psi))
+
+        # The third orders feed d_n(Laplacian), which vanishes on P^2 (k = 0).
+        tab = self._rec_tables(rule.points,
+                               FACE_ORDERS_3 if k >= 1 else FACE_ORDERS_2)
+        self.V = tab[(0, 0)]
+        self.Dn, self.Dt, self.Dnn, self.Dnt, self.DnLap = face_derivatives(
+            tab, self.n.T[..., None, None], self.t.T[..., None, None])
+
+        # Coefficients on each face of cell-polynomial traces.
+        self.T2 = sla.solve(self.Mf, _wdot(self.Psi, self.w, self.V),
+                            assume_a="pos")
+        self.PN = sla.solve(self.Mf[:, :k + 1, :k + 1],
+                            _wdot(self.Psi[..., :k + 1], self.w, self.Dn),
+                            assume_a="pos")
 
     @staticmethod
     def _sym(M):
-        return 0.5 * (M + M.T)
+        return 0.5 * (M + M.swapaxes(-1, -2))
 
     def saddle_solve(self, rhs, moments=None):
         """Solve the bordered Hessian system for a block of right-hand sides,
@@ -189,71 +218,38 @@ class _CellWork:
         sol = sla.lu_solve(self.saddle, full)
         return sol[:self.rec_dim]
 
-    def _face_tables(self, a):
-        mesh, k = self.mesh, self.k
-        f = self.faces[a]
-        sgn = self.signs[a]
-        rule = face_rule(mesh, f, face_degree(k))
-        w = rule.weights
-        n_out = sgn * mesh.face_normal[f]
-        t = mesh.face_tangent[f]
-        fb = FaceBasis.for_face(mesh, f, k + 2)
-        Psi = fb.eval(rule.points)
-        dPsi = fb.eval(rule.points, 1)
-        Mf = self._sym(Psi.T @ (w[:, None] * Psi))
-
-        # The third orders feed d_n(Laplacian), which vanishes on P^2 (k = 0).
-        tab = self.rec_basis.tables(rule.points,
-                                    FACE_ORDERS_3 if k >= 1 else FACE_ORDERS_2)
-        V = tab[(0, 0)]
-        Dn, Dt, Dnn, Dnt, DnLap = face_derivatives(tab, n_out, t)
-
-        # Coefficients on the face of cell-polynomial traces.
-        T2 = sla.solve(Mf, Psi.T @ (w[:, None] * V), assume_a="pos")
-        PN = sla.solve(Mf[:k + 1, :k + 1], Psi[:, :k + 1].T @ (w[:, None] * Dn),
-                       assume_a="pos")
-        # Variant B penalizes plain L^2 traces and never reads J.
-        J = None if self.variant == "B" else reference_interp_matrix(k, fb.degree)
-
-        return dict(face=f, w=w, n=n_out, t=t, Psi=Psi, dPsi=dPsi, Mf=Mf,
-                    V=V, Dn=Dn, Dt=Dt, Dnn=Dnn, Dnt=Dnt, DnLap=DnLap, T2=T2,
-                    PN=PN, J=J, boundary=bool(self.mesh.is_boundary_face[f]))
-
-    def _active(self, a):
-        """Whether face a carries unknowns (always, except Nitsche boundary faces)."""
-        return self.layout.trace_dims[a] > 0
+    def _rec_tables(self, pts, orders):
+        """`rec_basis.tables` at stacked (nF, nq, 2) points, as (nF, nq, .)."""
+        tab = self.rec_basis.tables(pts.reshape(-1, 2), orders)
+        return {key: T.reshape(pts.shape[:2] + (self.rec_dim,))
+                for key, T in tab.items()}
 
     # -- reconstruction -------------------------------------------------------
 
     def reconstruction_rhs(self, path="ipp"):
         lay = self.layout
-        n = lay.n_total
-        B = np.zeros((self.rec_dim, n))
+        nc = self.cell_dim
+        B = np.zeros((self.rec_dim, lay.n_total))
         if path == "ipp":
-            B[:, lay.cell_slice] = self.B_bilap
+            B[:, :nc] = self.B_bilap
         elif path == "variational":
-            B[:, lay.cell_slice] = self.G[:, :self.cell_dim]
-            for ft in self._faces:
-                w = ft["w"]
-                Vc = ft["V"][:, :self.cell_dim]
-                blk = -(ft["Dnn"].T @ (w[:, None] * ft["Dn"][:, :self.cell_dim]))
-                blk -= ft["Dnt"].T @ (w[:, None] * ft["Dt"][:, :self.cell_dim])
-                if ft["DnLap"] is not None:
-                    blk += ft["DnLap"].T @ (w[:, None] * Vc)
-                B[:, lay.cell_slice] += blk
+            w = self.w
+            blk = -_wdot(self.Dnn, w, self.Dn[..., :nc])
+            blk -= _wdot(self.Dnt, w, self.Dt[..., :nc])
+            if self.DnLap is not None:
+                blk += _wdot(self.DnLap, w, self.V[..., :nc])
+            B[:, :nc] = _loop_sum(self.G[:, :nc], blk)
         else:
             raise ValueError(f"unknown reconstruction path {path!r}")
-        for a, ft in enumerate(self._faces):
-            if not self._active(a):
-                continue
-            w = ft["w"]
-            td = lay.trace_dims[a]
-            nd = lay.normal_dims[a]
-            tr = ft["Dnt"].T @ (w[:, None] * ft["dPsi"][:, :td])
-            if ft["DnLap"] is not None:
-                tr -= ft["DnLap"].T @ (w[:, None] * ft["Psi"][:, :td])
-            B[:, lay.trace_slice(a)] = tr
-            B[:, lay.normal_slice(a)] = ft["Dnn"].T @ (w[:, None] * ft["Psi"][:, :nd])
+        a, td = self.active, self.td
+        w = self.w[a]
+        tr = _wdot(self.Dnt[a], w, self.dPsi[a, :, :td])
+        if self.DnLap is not None:
+            tr -= _wdot(self.DnLap[a], w, self.Psi[a, :, :td])
+        nr = _wdot(self.Dnn[a], w, self.Psi[a, :, :self.nd])
+        # (nA, rec_dim, d) face blocks laid side by side, in loop order.
+        B[:, nc:self.n0] = tr.transpose(1, 0, 2).reshape(self.rec_dim, -1)
+        B[:, self.n0:] = nr.transpose(1, 0, 2).reshape(self.rec_dim, -1)
         return B
 
     def reconstruction(self, path="ipp"):
@@ -267,50 +263,32 @@ class _CellWork:
     def stabilization(self, scaling, R=None):
         lay = self.layout
         n = lay.n_total
-        k = self.k
+        k, h, nc = self.k, self.h, self.cell_dim
         fac_low, fac_hm1 = stab_factors(scaling, k)
-        h = self.h
-        S = np.zeros((n, n))
+        a, td, nd = self.active, self.td, self.nd
 
-        if self.variant == "C":
+        first = np.zeros((n, n))
+        Z = self.embed
+        if self.variant == "C":   # penalize against the reconstruction
             if R is None:
                 R = self.reconstruction()
-            nc = self.cell_dim
             Pc = sla.solve(self.M_rec[:nc, :nc], self.M_rec[:nc, :],
                            assume_a="pos")
             rho0 = -Pc @ R
             rho0[:, lay.cell_slice] += np.eye(nc)
-            S += fac_low * h ** -4 * rho0.T @ self.M_rec[:nc, :nc] @ rho0
+            first += fac_low * h ** -4 * rho0.T @ self.M_rec[:nc, :nc] @ rho0
+            Z = R
 
-        for a, ft in enumerate(self._faces):
-            if not self._active(a):
-                continue
-            Mf = ft["Mf"]
-            m1 = k + 2
-            if self.variant == "A":
-                rho1 = np.zeros((m1, n))
-                rho1[:, lay.cell_slice] = -(ft["J"] @ ft["T2"])[:, :self.cell_dim]
-                rho1[:, lay.trace_slice(a)] = np.eye(m1)
-                S += fac_low * h ** -3 * rho1.T @ Mf[:m1, :m1] @ rho1
-            elif self.variant == "B":
-                m2 = k + 3
-                rho1 = np.zeros((m2, n))
-                rho1[:, lay.cell_slice] = -ft["T2"][:, :self.cell_dim]
-                rho1[:, lay.trace_slice(a)] = np.eye(m2)
-                S += fac_low * h ** -3 * rho1.T @ Mf @ rho1
-            else:  # variant C: penalize against the reconstruction
-                rho1 = -ft["J"] @ ft["T2"] @ R
-                rho1[:, lay.trace_slice(a)] += np.eye(m1)
-                S += fac_low * h ** -3 * rho1.T @ Mf[:m1, :m1] @ rho1
-
-            if self.variant == "C":
-                rho2 = -ft["PN"] @ R
-                rho2[:, lay.normal_slice(a)] += np.eye(k + 1)
-            else:
-                rho2 = np.zeros((k + 1, n))
-                rho2[:, lay.cell_slice] = -ft["PN"][:, :self.cell_dim]
-                rho2[:, lay.normal_slice(a)] = np.eye(k + 1)
-            S += fac_hm1 * h ** -1 * rho2.T @ Mf[:k + 1, :k + 1] @ rho2
+        # Variant B penalizes plain L^2 traces; A and C the canonical
+        # interpolation J onto P^{k+1} of each face.
+        T2 = self.T2[a]
+        if self.variant != "B":
+            T2 = reference_interp_matrix(k, k + 2) @ T2
+        rho1 = _put_eye(-T2 @ Z, nc, td)
+        rho2 = _put_eye(-self.PN[a] @ Z, self.n0, nd)
+        S = _loop_sum(first,
+                      _gram(rho1, fac_low * h ** -3, self.Mf[a, :td, :td]),
+                      _gram(rho2, fac_hm1 * h ** -1, self.Mf[a, :nd, :nd]))
 
         if self.nitsche:
             S[lay.cell_slice, lay.cell_slice] += self.boundary_penalty(
@@ -320,16 +298,12 @@ class _CellWork:
     def boundary_penalty(self, w_val, w_grad):
         """Penalty Gram w_val (v, w)_dKb + w_grad (grad v, grad w)_dKb, cell block."""
         nc = self.cell_dim
-        P = np.zeros((nc, nc))
-        for a, ft in enumerate(self._faces):
-            if not ft["boundary"]:
-                continue
-            w = ft["w"]
-            V = ft["V"][:, :nc]
-            Dn = ft["Dn"][:, :nc]
-            Dt = ft["Dt"][:, :nc]
-            P += w_val * V.T @ (w[:, None] * V)
-            P += w_grad * (Dn.T @ (w[:, None] * Dn) + Dt.T @ (w[:, None] * Dt))
+        b = self.boundary
+        V, Dn, Dt = (T[b, :, :nc] for T in (self.V, self.Dn, self.Dt))
+        w = self.w[b]
+        P = _loop_sum(np.zeros((nc, nc)),
+                      _wdot(w_val * V, w, V),
+                      w_grad * (_wdot(Dn, w, Dn) + _wdot(Dt, w, Dt)))
         return self._sym(P)
 
     # -- energy seminorm Gram ---------------------------------------------------
@@ -337,28 +311,19 @@ class _CellWork:
     def seminorm_gram(self):
         lay = self.layout
         n = lay.n_total
-        k = self.k
-        h = self.h
-        N = np.zeros((n, n))
-        N[lay.cell_slice, lay.cell_slice] = self.G[:self.cell_dim, :self.cell_dim]
-        for a, ft in enumerate(self._faces):
-            if not self._active(a):
-                continue
-            Mf = ft["Mf"]
-            td = lay.trace_dims[a]
-            rho = np.zeros((k + 3, n))
-            rho[:, lay.cell_slice] = -ft["T2"][:, :self.cell_dim]
-            rho[:td, lay.trace_slice(a)] = np.eye(td)
-            N += h ** -3 * rho.T @ Mf @ rho
+        k, h, nc = self.k, self.h, self.cell_dim
+        a = self.active
+        first = np.zeros((n, n))
+        first[:nc, :nc] = self.G[:nc, :nc]
 
-            m1 = k + 2   # dim P^{k+1}(F)
-            N1 = sla.solve(Mf[:m1, :m1],
-                           ft["Psi"][:, :m1].T @ (ft["w"][:, None] * ft["Dn"]),
-                           assume_a="pos")
-            rho = np.zeros((m1, n))
-            rho[:, lay.cell_slice] = -N1[:, :self.cell_dim]
-            rho[:k + 1, lay.normal_slice(a)] = np.eye(k + 1)
-            N += h ** -1 * rho.T @ Mf[:k + 2, :k + 2] @ rho
+        m1 = k + 2   # dim P^{k+1}(F)
+        N1 = sla.solve(self.Mf[a, :m1, :m1],
+                       _wdot(self.Psi[a, :, :m1], self.w[a], self.Dn[a]),
+                       assume_a="pos")
+        rho = _put_eye(-self.T2[a] @ self.embed, nc, self.td)
+        rho_n = _put_eye(-N1 @ self.embed, self.n0, self.nd)
+        N = _loop_sum(first, _gram(rho, h ** -3, self.Mf[a]),
+                      _gram(rho_n, h ** -1, self.Mf[a, :m1, :m1]))
         if self.nitsche:
             N[lay.cell_slice, lay.cell_slice] += self.boundary_penalty(
                 h ** -3, h ** -1)
@@ -370,28 +335,36 @@ class _CellWork:
         """One pass over the boundary faces: lifting rhs, lifting, penalty load.
 
         The lifting right-hand side is -(g_D, dn Lap w) + (G, grad dn w); the
-        load holds the boundary penalty tested against the cell unknown.
+        load holds the boundary penalty tested against the cell unknown.  The
+        data are sampled once, on the points of all boundary faces together.
         """
         fac_low, fac_hm1 = stab_factors(scaling, self.k)
         h, nc = self.h, self.cell_dim
-        deg = face_degree(self.k) + BC_EXTRA_DEGREE
-        rhs = np.zeros(self.rec_dim)
+        b = self.boundary
+        rule = face_rule(self.mesh, self.faces[b],
+                         face_degree(self.k) + BC_EXTRA_DEGREE)
+        pts, w = rule.points, rule.weights
+        n, t = self.n[b], self.t[b]
+        tab = self._rec_tables(pts, FACE_ORDERS_3)
+        Dn, Dt, Dnn, Dnt, DnLap = face_derivatives(tab, n.T[..., None, None],
+                                                   t.T[..., None, None])
+        flat = pts.reshape(-1, 2)
+        gD = np.asarray(bdata.dirichlet(flat), dtype=np.float64).reshape(w.shape)
+        grad = bdata.boundary_gradient(flat).reshape(pts.shape)
+        gN = (grad @ n[:, :, None])[..., 0]
+        dtg = (grad @ t[:, :, None])[..., 0]
+
+        def tested(T, g):
+            return _wdot(T, w, g[..., None])[..., 0]
+
+        rhs = _loop_sum(np.zeros(self.rec_dim),
+                        tested(Dnn, gN) + tested(Dnt, dtg), -tested(DnLap, gD))
         load = np.zeros(self.layout.n_total)
-        for ft in self._faces:
-            if not ft["boundary"]:
-                continue
-            rule = face_rule(self.mesh, ft["face"], deg)
-            pts, w, n, t = rule.points, rule.weights, ft["n"], ft["t"]
-            tab = self.rec_basis.tables(pts, FACE_ORDERS_3)
-            Dn, Dt, Dnn, Dnt, DnLap = face_derivatives(tab, n, t)
-            gD = np.asarray(bdata.dirichlet(pts), dtype=np.float64)
-            grad = bdata.boundary_gradient(pts, n, t)
-            gN, dtg = grad @ n, grad @ t
-            rhs += Dnn.T @ (w * gN) + Dnt.T @ (w * dtg)
-            rhs -= DnLap.T @ (w * gD)
-            load[:nc] += (fac_low * h ** -3 * tab[(0, 0)][:, :nc].T @ (w * gD)
-                          + fac_hm1 * h ** -1 * (Dn[:, :nc].T @ (w * gN)
-                                                 + Dt[:, :nc].T @ (w * dtg)))
+        load[:nc] = _loop_sum(
+            np.zeros(nc),
+            tested(fac_low * h ** -3 * tab[(0, 0)][..., :nc], gD)
+            + fac_hm1 * h ** -1 * (tested(Dn[..., :nc], gN)
+                                   + tested(Dt[..., :nc], dtg)))
         lifting = self.saddle_solve(rhs[:, None])[:, 0]
         return rhs, lifting, load
 
@@ -404,6 +377,33 @@ class _CellWork:
         """Data terms of the load assembled through the lifting (cross-check path)."""
         _, lifting, load = self._nitsche_terms(bdata, scaling)
         return load - R.T @ (self.G @ lifting)
+
+
+def _wdot(X, w, Y):
+    """Face integrals X^T (w Y) of stacked (nF, nq, .) tables, one per face."""
+    return X.swapaxes(-1, -2) @ (w[..., None] * Y)
+
+
+def _gram(rho, weight, M):
+    """Face penalty Grams (weight rho^T) M rho, one per face."""
+    return (weight * rho.swapaxes(-1, -2)) @ M @ rho
+
+
+def _put_eye(rho, start, dim):
+    """Add to each face's rho the identity on its own block: face i owns the
+    `dim` columns from start + i * dim."""
+    i = np.arange(len(rho))[:, None]
+    j = np.arange(dim)
+    rho[i, j, start + i * dim + j] += 1.0
+    return rho
+
+
+def _loop_sum(first, *stacks):
+    """first + the stacks' face terms, added face by face in loop order (for
+    each face, one term of each stack).  numpy sums axis 0 of a contiguous
+    stack sequentially, so this has the bits of the same sum in a loop."""
+    terms = np.stack(stacks, axis=1).reshape((-1,) + first.shape)
+    return np.concatenate([first[None], terms]).sum(axis=0)
 
 
 def _kernel_dim(A, tol=1e-12):
@@ -461,15 +461,14 @@ def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
     lifting = None
     load_boundary = None
     if nitsche:
-        has_boundary = any(ft["boundary"] for ft in work._faces)
-        if bdata is not None and has_boundary:
+        if bdata is not None and len(work.boundary):
             lifting, load_boundary = work.nitsche_data(bdata, scaling, R)
         else:
             lifting = np.zeros(work.rec_dim)
             load_boundary = np.zeros(work.layout.n_total)
 
     if check_kernel:
-        expected = 0 if (nitsche and any(ft["boundary"] for ft in work._faces)) else 3
+        expected = 0 if (nitsche and len(work.boundary)) else 3
         got = _kernel_dim(A)
         if got != expected:
             raise AssemblyError(

@@ -24,8 +24,7 @@ __all__ = [
     "CellBasis", "FaceBasis", "PolyCoeffs", "space_dim",
     "cell_mass_matrix", "project_cell", "project_face",
     "canonical_interp_face", "canonical_interp_matrix",
-    "reference_interp_matrix",
-    "tangential_derivative", "tangential_derivative_matrix",
+    "reference_interp_matrix", "tangential_derivative",
     "face_derivatives", "trace_on_face", "normal_derivative_on_face",
     "hessian_traces_on_face",
 ]
@@ -40,10 +39,13 @@ def space_dim(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
 
+@lru_cache(maxsize=64)
 def _exponents(degree: int) -> np.ndarray:
-    """Graded multi-index table: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ..."""
+    """Graded multi-index table (0,0), (1,0), (0,1), (2,0), ... (read-only)."""
     out = [(d - j, j) for d in range(degree + 1) for j in range(d + 1)]
-    return np.array(out, dtype=np.int64)
+    out = np.array(out, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def _falling(a, p):
@@ -128,13 +130,15 @@ def face_derivatives(tab: dict, n, t):
     tables from `CellBasis.tables` or sampled derivatives of a function.  It
     needs the first and second orders; DnLap = d_n(Laplacian) is None unless
     the third orders are present too.  `n` and `t` are the unit normal and
-    tangent of the face.
+    tangent of the face; for tables stacked over nF faces, (2, nF, 1, 1)
+    arrays.  Squares use C `pow`, as on a numpy scalar, for the same bits.
     """
     Gx, Gy = tab[(1, 0)], tab[(0, 1)]
     Hxx, Hxy, Hyy = tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]
     Dn = n[0] * Gx + n[1] * Gy
     Dt = t[0] * Gx + t[1] * Gy
-    Dnn = n[0] ** 2 * Hxx + 2 * n[0] * n[1] * Hxy + n[1] ** 2 * Hyy
+    Dnn = (np.float_power(n[0], 2) * Hxx + 2 * n[0] * n[1] * Hxy
+           + np.float_power(n[1], 2) * Hyy)
     Dnt = (t[0] * n[0] * Hxx + (t[0] * n[1] + t[1] * n[0]) * Hxy
            + t[1] * n[1] * Hyy)
     DnLap = None
@@ -145,43 +149,43 @@ def face_derivatives(tab: dict, n, t):
 
 
 class FaceBasis:
-    """Scaled 1D monomials s^j in the face arclength parameter s in [-1/2, 1/2]."""
+    """Scaled 1D monomials s^j in the face arclength parameter s in [-1/2, 1/2].
 
-    def __init__(self, midpoint, tangent, length: float, degree: int, face_id=None):
+    With a leading face axis on midpoint, tangent and length it stands for
+    many faces at once, on points and tables with the same leading axis."""
+
+    def __init__(self, midpoint, tangent, length, degree: int):
         self.midpoint = np.asarray(midpoint, dtype=np.float64)
         self.tangent = np.asarray(tangent, dtype=np.float64)
-        self.length = float(length)
+        self.length = np.asarray(length, dtype=np.float64)
         self.degree = int(degree)
-        self.face_id = face_id
         self.dim = degree + 1
 
     @classmethod
-    def for_face(cls, mesh: Mesh, face_id: int, degree: int):
+    def for_face(cls, mesh: Mesh, face_id, degree: int):
+        """Basis of one face, or of every face of an array of face ids."""
         return cls(mesh.face_midpoint[face_id], mesh.face_tangent[face_id],
-                   mesh.face_length[face_id], degree, face_id=face_id)
+                   mesh.face_length[face_id], degree)
 
     def param(self, pts) -> np.ndarray:
         """Scaled arclength parameter of points lying on the face."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        return (pts - self.midpoint) @ self.tangent / self.length
+        along = (pts - self.midpoint[..., None, :]) @ self.tangent[..., :, None]
+        return along[..., 0] / self.length[..., None]
 
     def eval_param(self, s, order: int = 0) -> np.ndarray:
         """Table of the order-th tangential derivative at parameters s."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         coeff, rest = _deriv_factors(self.degree, (order,))
-        coeff = coeff / self.length ** order
-        Sp = np.empty((len(s), self.dim))
-        Sp[:, 0] = 1.0
+        coeff = coeff / self.length[..., None] ** order
+        Sp = np.empty(s.shape + (self.dim,))
+        Sp[..., 0] = 1.0
         for i in range(1, self.dim):
-            Sp[:, i] = Sp[:, i - 1] * s
-        return coeff[None, :] * Sp[:, rest[:, 0]]
+            Sp[..., i] = Sp[..., i - 1] * s
+        return coeff[..., None, :] * Sp[..., rest[:, 0]]
 
     def eval(self, pts, order: int = 0) -> np.ndarray:
         return self.eval_param(self.param(pts), order)
-
-    @property
-    def endpoint_params(self):
-        return np.array([-0.5, 0.5])
 
 
 @dataclass
@@ -248,7 +252,7 @@ def _legendre_table(s, degree):
 def _canonical_dof_rows(basis: FaceBasis, k: int, rule: QuadratureRule,
                         weight_basis: str):
     """DoF functionals applied to the basis: endpoint values, then moments."""
-    ends = basis.eval_param(basis.endpoint_params)
+    ends = basis.eval_param(np.array([-0.5, 0.5]))
     rows = [ends]
     if k >= 1:
         s = basis.param(rule.points)
@@ -271,8 +275,7 @@ def canonical_interp_matrix(src: FaceBasis, k: int, rule: QuadratureRule,
     coefficients in the degree-(k+1) basis of the same face.  The result is
     independent of the chosen moment weight basis.
     """
-    target = FaceBasis(src.midpoint, src.tangent, src.length, k + 1,
-                       face_id=src.face_id)
+    target = FaceBasis(src.midpoint, src.tangent, src.length, k + 1)
     D_t = _canonical_dof_rows(target, k, rule, weight_basis)
     D_s = _canonical_dof_rows(src, k, rule, weight_basis)
     return sla.solve(D_t, D_s)
@@ -320,27 +323,13 @@ def canonical_interp_face(v, k: int, basis: FaceBasis, rule: QuadratureRule,
     return PolyCoeffs(basis, sla.solve(D, np.concatenate(d)))
 
 
-def tangential_derivative_matrix(basis: FaceBasis) -> np.ndarray:
-    """Exact d/ds as a map to the degree-(m-1) basis on the same face."""
-    m = basis.degree
-    if m == 0:
-        return np.zeros((1, 1))
-    D = np.zeros((m, m + 1))
-    for j in range(1, m + 1):
-        D[j - 1, j] = j / basis.length
-    return D
-
-
 def tangential_derivative(face_poly: PolyCoeffs) -> PolyCoeffs:
     """Exact tangential derivative; degree drops by one (0 -> zero polynomial)."""
-    basis = face_poly.basis
-    out_deg = max(basis.degree - 1, 0)
-    out = FaceBasis(basis.midpoint, basis.tangent, basis.length, out_deg,
-                    face_id=basis.face_id)
-    D = tangential_derivative_matrix(basis)
-    if basis.degree == 0:
+    b = face_poly.basis
+    out = FaceBasis(b.midpoint, b.tangent, b.length, max(b.degree - 1, 0))
+    if b.degree == 0:
         return PolyCoeffs(out, np.zeros(1))
-    return PolyCoeffs(out, D @ face_poly.coeffs)
+    return PolyCoeffs(out, np.arange(1, b.dim) / b.length * face_poly.coeffs[1:])
 
 
 # -- traces of cell polynomials on faces ---------------------------------------

@@ -52,7 +52,7 @@ class QuadratureRule:
 
     @property
     def n_points(self):
-        return len(self.weights)
+        return self.weights.shape[-1]
 
 
 @lru_cache(maxsize=64)
@@ -64,17 +64,18 @@ def segment_rule(n_points: int) -> QuadratureRule:
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, 2 * n_points - 1)
 
 
-def face_rule(mesh: Mesh, face_id: int, degree: int) -> QuadratureRule:
+def face_rule(mesh: Mesh, face_id, degree: int) -> QuadratureRule:
     """Gauss rule along a mesh face, exact for 1D polynomials up to `degree`.
 
-    Weights sum to the face length h_F.
+    Weights sum to the face length h_F.  An array of face ids gives the rules
+    of all those faces at once, stacked along a leading face axis.
     """
     n = max(1, (degree + 2) // 2)
     ref = segment_rule(n)
-    p0 = mesh.vertices[mesh.face_vertices[face_id, 0]]
-    p1 = mesh.vertices[mesh.face_vertices[face_id, 1]]
-    pts = p0[None, :] + ref.points[:, None] * (p1 - p0)[None, :]
-    return QuadratureRule(pts, ref.weights * mesh.face_length[face_id],
+    ends = mesh.vertices[mesh.face_vertices[face_id]]
+    p0, p1 = ends[..., None, 0, :], ends[..., None, 1, :]
+    pts = p0 + ref.points[:, None] * (p1 - p0)
+    return QuadratureRule(pts, ref.weights * mesh.face_length[face_id][..., None],
                           ref.exact_degree)
 
 

@@ -97,6 +97,21 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "strong/nitsche" in out
 
+    @pytest.mark.parametrize("what, flags", [("variants", ["--bc-mode", "nitsche"]),
+                                             ("bc", ["--variant", "C"])])
+    def test_nitsche_variant_c_rejected_before_any_solve(
+            self, what, flags, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a family was solved")
+
+        monkeypatch.setattr(hb.solving, "solve_and_measure", unreachable)
+        code = run(["compare", "--what", what, *flags, "--mesh-kind", "rect",
+                    "--levels", "2,4", "--k", "0", "--case", "2",
+                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "Nitsche" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     @pytest.mark.parametrize("command",

@@ -9,9 +9,12 @@ from hhobiharm.localops import (_CellWork, build_local_matrices,
                                 build_stabilization, elliptic_projection_oracle,
                                 local_seminorm, make_layout, reduce_cell,
                                 rigid_modes, space_degrees)
-from hhobiharm.polyspace import (CellBasis, FaceBasis, project_cell,
+from hhobiharm.mesh import CellShape
+from hhobiharm.polyspace import (FACE_ORDERS_2, FACE_ORDERS_3, CellBasis,
+                                 FaceBasis, face_derivatives, project_cell,
                                  space_dim)
-from hhobiharm.quadrature import cell_rule, face_rule
+from hhobiharm.quadrature import (BC_EXTRA_DEGREE, cell_rule, face_degree,
+                                  face_rule)
 
 from conftest import random_smooth_family
 
@@ -390,6 +393,45 @@ class TestSeminorm:
         assert max(maxs) <= 2.0 * min(maxs) + 1e-12
 
 
+class TestStackedFaceTables:
+    """The face tables of `_CellWork`, stacked over the faces, carry the bits
+    of the same tables built one face at a time."""
+
+    @staticmethod
+    def per_face(mesh, c, k):
+        rec = CellBasis.for_cell(mesh, c, k + 2)
+        out = []
+        for f, sgn in zip(mesh.cell_faces[c], mesh.cell_signs[c]):
+            rule = face_rule(mesh, f, face_degree(k))
+            w = rule.weights
+            fb = FaceBasis.for_face(mesh, f, k + 2)
+            Psi = fb.eval(rule.points)
+            Mf = Psi.T @ (w[:, None] * Psi)
+            Mf = 0.5 * (Mf + Mf.T)
+            tab = rec.tables(rule.points,
+                             FACE_ORDERS_3 if k >= 1 else FACE_ORDERS_2)
+            Dn, _, Dnn, Dnt, DnLap = face_derivatives(
+                tab, sgn * mesh.face_normal[f], mesh.face_tangent[f])
+            T2 = sla.solve(Mf, Psi.T @ (w[:, None] * tab[(0, 0)]),
+                           assume_a="pos")
+            PN = sla.solve(Mf[:k + 1, :k + 1],
+                           Psi[:, :k + 1].T @ (w[:, None] * Dn), assume_a="pos")
+            out.append(dict(Mf=Mf, T2=T2, PN=PN, Dnn=Dnn, Dnt=Dnt,
+                            DnLap=DnLap))
+        return out
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stacked_equals_per_face(self, vor16, variant, k):
+        cases = [(vor16, c) for c in range(0, vor16.n_cells, 3)]
+        cases.append((CellShape(vor16, 5), 0))
+        for mesh, c in cases:
+            work = _CellWork(mesh, c, variant, k)
+            for a, ref in enumerate(self.per_face(mesh, c, k)):
+                for name, table in ref.items():
+                    assert np.array_equal(getattr(work, name)[a], table), name
+
+
 class TestNitscheOps:
     def test_interior_cell_equals_standard(self, vor16):
         interior = [c for c in range(vor16.n_cells)
@@ -433,7 +475,7 @@ class TestNitscheOps:
             scale = max(np.linalg.norm(load1), 1.0)
             assert np.linalg.norm(load1 - load2) <= 1e-10 * scale
 
-    def test_boundary_data_sampled_once_per_face(self, vor16, monkeypatch):
+    def test_boundary_data_sampled_once_per_build(self, vor16, monkeypatch):
         calls = []
         dirichlet = hb.BoundaryData.dirichlet
 
@@ -443,6 +485,7 @@ class TestNitscheOps:
 
         monkeypatch.setattr(hb.BoundaryData, "dirichlet", counted)
         bdata = hb.BoundaryData.from_case(hb.get_case("2"))
+        nq = face_rule(vor16, 0, face_degree(1) + BC_EXTRA_DEGREE).n_points
         boundary = [c for c in range(vor16.n_cells)
                     if any(vor16.is_boundary_face[f]
                            for f in vor16.cell_faces[c])]
@@ -451,7 +494,7 @@ class TestNitscheOps:
                              for f in vor16.cell_faces[c])
             calls.clear()
             build_local_matrices(vor16, c, "A", 1, nitsche=True, bdata=bdata)
-            assert len(calls) == n_boundary
+            assert calls == [n_boundary * nq]
 
     def test_boundary_cell_kernel_zero(self, vor16):
         boundary = [c for c in range(vor16.n_cells)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hhobiharm as hb
-from hhobiharm.polyspace import (CellBasis, FaceBasis, PolyCoeffs,
+from hhobiharm.polyspace import (FACE_ORDERS_3, CellBasis, FaceBasis, PolyCoeffs,
                                  canonical_interp_face, canonical_interp_matrix,
                                  cell_mass_matrix, face_derivatives,
                                  project_cell, project_face,
@@ -88,6 +88,35 @@ class TestCellBasis:
                 M = cell_mass_matrix(b, cell_rule(mesh, c, 14))
                 d = 1.0 / np.sqrt(np.diag(M))
                 assert np.linalg.cond(M * np.outer(d, d)) < 1e8
+
+
+class TestStackedFaces:
+    def test_face_rule_and_basis_match_per_face(self, vor16):
+        faces = np.arange(vor16.n_faces)
+        rule = face_rule(vor16, faces, 9)
+        fb = FaceBasis.for_face(vor16, faces, 3)
+        tables = [fb.eval(rule.points, order) for order in (0, 1)]
+        for a, f in enumerate(faces):
+            one = face_rule(vor16, f, 9)
+            assert np.array_equal(rule.points[a], one.points)
+            assert np.array_equal(rule.weights[a], one.weights)
+            b = FaceBasis.for_face(vor16, f, 3)
+            for order, table in enumerate(tables):
+                assert np.array_equal(table[a], b.eval(one.points, order))
+
+    def test_face_derivatives_match_per_face(self):
+        # Random normals: on a numpy scalar x ** 2 is C pow, which differs
+        # from x * x on about one value in a thousand.
+        rng = np.random.default_rng(0)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 3000)
+        n = np.column_stack([np.cos(angle), np.sin(angle)])
+        t = np.column_stack([-n[:, 1], n[:, 0]])
+        tab = {key: rng.standard_normal((len(n), 2, 3)) for key in FACE_ORDERS_3}
+        stacked = face_derivatives(tab, n.T[..., None, None], t.T[..., None, None])
+        for a in range(len(n)):
+            one = face_derivatives({key: T[a] for key, T in tab.items()}, n[a], t[a])
+            for table, ref in zip(stacked, one):
+                assert np.array_equal(table[a], ref)
 
 
 class TestProjectCell:
