@@ -435,26 +435,40 @@ def build_polygon_mesh(vertices) -> Mesh:
     return Mesh.from_cell_loops(vertices, [list(range(len(vertices)))])
 
 
-def _mirror_points(pts):
-    """Original points plus reflections across the four sides of (0,1)^2."""
-    refl = [pts * [-1, 1], pts * [-1, 1] + [2, 0],
-            pts * [1, -1], pts * [1, -1] + [0, 2]]
+def _mirror_points(pts, band):
+    """Original points plus their reflections across the four sides of
+    (0,1)^2, each side reflecting only the points within `band` of it."""
+    x, y = pts.T
+    refl = [pts[x <= band] * [-1, 1], pts[1 - x <= band] * [-1, 1] + [2, 0],
+            pts[y <= band] * [1, -1], pts[1 - y <= band] * [1, -1] + [0, 2]]
     return np.vstack([pts] + refl)
 
 
-def _clipped_voronoi(pts):
+def _clipped_voronoi(pts, band=np.inf):
     """Voronoi cells of pts clipped exactly to (0,1)^2 via mirrored generators.
+
+    Only the generators within `band` of a side are reflected across it
+    (PolyMesher's reflection); a band of 1 or more reflects them all.  A
+    missing reflection q' of a generator q never cuts a cell inside the
+    square, where |x - q'| >= |x - q|, so a bounded region whose vertices
+    all lie in [0,1]^2 (to 1e-12) is exactly the clipped cell.  Until every
+    region passes that check the band is doubled; the full mirror needs no
+    check.
 
     Returns (vertex coordinates, list of ordered vertex-id loops).
     """
-    vor = Voronoi(_mirror_points(pts))
-    regions = []
-    for i in range(len(pts)):
-        reg = vor.regions[vor.point_region[i]]
-        if len(reg) < 3 or -1 in reg:
-            raise MeshError("unbounded or degenerate Voronoi region")
-        regions.append(reg)
-    return vor.vertices, regions
+    while True:
+        vor = Voronoi(_mirror_points(pts, band))
+        regions = [vor.regions[r] for r in vor.point_region[:len(pts)]]
+        bounded = all(len(reg) >= 3 and -1 not in reg for reg in regions)
+        if band >= 1.0:
+            if not bounded:
+                raise MeshError("unbounded or degenerate Voronoi region")
+            return vor.vertices, regions
+        if bounded and np.all(np.abs(vor.vertices[np.concatenate(regions)] - 0.5)
+                              <= 0.5 + 1e-12):
+            return vor.vertices, regions
+        band *= 2.0
 
 
 def _voronoi_mesh_once(points, n_cells):
@@ -498,22 +512,29 @@ def _voronoi_mesh_once(points, n_cells):
 def build_voronoi_mesh(n_cells: int, seed: int, lloyd_iters: int = 20) -> Mesh:
     """Lloyd-relaxed Voronoi partition of (0,1)^2 with n_cells polygons.
 
-    Generator points are drawn uniformly from a seeded RNG, the diagram is
-    clipped exactly to the unit square by mirroring the generators across its
-    sides, and `lloyd_iters` centroidal relaxation sweeps are applied.  The
-    result is a pure function of (n_cells, seed, lloyd_iters).  Degenerate
-    point sets are retried with perturbed seeds, up to 10 attempts.
+    Generator points are drawn uniformly from a seeded RNG and `lloyd_iters`
+    centroidal relaxation sweeps are applied.  Every diagram is clipped
+    exactly to the unit square by mirroring generators across its sides.  A
+    sweep reflects only those within a band of 1.5*sqrt(1/n_cells) of a side
+    (PolyMesher's choice), doubled until every region is bounded and inside
+    the square, which makes it exactly the clipped cell (`_clipped_voronoi`).
+    The final diagram reflects every generator: a band would leave its cells
+    as they are but change Qhull's input, and with it the numbering of the
+    mesh's vertices and faces.  The result is a pure function of (n_cells,
+    seed, lloyd_iters).  Degenerate point sets are retried with perturbed
+    seeds, up to 10 attempts.
     """
     if n_cells < 1:
         raise MeshError("n_cells must be positive")
     rng = np.random.default_rng(seed)
     points = rng.random((n_cells, 2))
+    band = 1.5 * np.sqrt(1.0 / n_cells)
     last_err = None
     for _ in range(10):
         try:
             pts = points
             for _ in range(lloyd_iters):
-                vor_vertices, regions = _clipped_voronoi(pts)
+                vor_vertices, regions = _clipped_voronoi(pts, band)
                 _, pts = _polygon_moments(vor_vertices, regions)
                 np.clip(pts, 1e-9, 1.0 - 1e-9, out=pts)
             return _voronoi_mesh_once(pts, n_cells)

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import Voronoi
 
 import hhobiharm as hb
-from hhobiharm.mesh import MeshError, MeshFormatError, _polygon_moments
+import hhobiharm.mesh as mesh_mod
+from hhobiharm.mesh import (MeshError, MeshFormatError, _clipped_voronoi,
+                            _polygon_moments)
 
 
 def euler(mesh):
@@ -33,7 +36,6 @@ class TestRectMesh:
         assert np.abs(m.cell_centroid - mean).max() <= 1e-13 * m.h_max
 
     def test_one_area_centroid_pass_per_cell(self, monkeypatch):
-        import hhobiharm.mesh as mesh_mod
         calls = []
         orig = mesh_mod._polygon_moments
 
@@ -137,6 +139,7 @@ class TestVoronoiMesh:
         assert m.n_cells == 16384
         assert abs(m.n_faces - 49014) <= 0.1 * 49014
         assert euler(m) == 1
+        assert hb.validate(m).ok
 
     def test_generator_sweep_valid(self):
         for n, seed in [(4, 0), (25, 1), (100, 2)]:
@@ -145,16 +148,14 @@ class TestVoronoiMesh:
             assert rep.ok, rep.failures
 
     def test_degenerate_diagrams_retried(self, monkeypatch):
-        import hhobiharm.mesh as mesh_mod
-
         real = mesh_mod._clipped_voronoi
         calls = {"n": 0}
 
-        def flaky(pts):
+        def flaky(pts, band=np.inf):
             calls["n"] += 1
             if calls["n"] <= 2:
                 raise MeshError("unbounded or degenerate Voronoi region")
-            return real(pts)
+            return real(pts, band)
 
         monkeypatch.setattr(mesh_mod, "_clipped_voronoi", flaky)
         m = hb.build_voronoi_mesh(9, 3, 2)
@@ -162,14 +163,69 @@ class TestVoronoiMesh:
         assert calls["n"] > 2
 
     def test_persistent_degeneracy_raises(self, monkeypatch):
-        import hhobiharm.mesh as mesh_mod
-
-        def broken(pts):
+        def broken(pts, band=np.inf):
             raise MeshError("unbounded or degenerate Voronoi region")
 
         monkeypatch.setattr(mesh_mod, "_clipped_voronoi", broken)
         with pytest.raises(MeshError, match="10 attempts"):
             hb.build_voronoi_mesh(9, 3, 2)
+
+
+def _qhull_sizes(monkeypatch):
+    """Record the number of points of every Qhull call of the mesh module."""
+    sizes = []
+
+    def spy(points, *args, **kwargs):
+        sizes.append(len(points))
+        return Voronoi(points, *args, **kwargs)
+
+    monkeypatch.setattr(mesh_mod, "Voronoi", spy)
+    return sizes
+
+
+def _assert_same_cells(pts, band):
+    """The banded diagram gives the full mirror's clipped cells."""
+    got = _clipped_voronoi(pts, band)
+    full = _clipped_voronoi(pts)
+    (area, cen), (area_full, cen_full) = (_polygon_moments(*d) for d in (got, full))
+    np.testing.assert_allclose(np.abs(area), np.abs(area_full), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(cen, cen_full, rtol=0, atol=1e-13)
+    for loop, loop_full in zip(got[1], full[1]):
+        d = np.linalg.norm(got[0][loop][:, None] - full[0][loop_full][None], axis=2)
+        assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-13
+
+
+class TestBandedMirror:
+    """Lloyd sweeps reflect only the generators near each side."""
+
+    @pytest.mark.parametrize("n, seed", [(1, 5), (2, 0), (3, 1), (64, 42), (2048, 5)])
+    def test_same_cells_as_full_mirror(self, monkeypatch, n, seed):
+        pts = np.random.default_rng(seed).random((n, 2))
+        sizes = _qhull_sizes(monkeypatch)
+        _assert_same_cells(pts, 1.5 * np.sqrt(1.0 / n))
+        if n <= 2:   # the first band is already 1 or more: one full mirror
+            assert sizes[0] == 5 * n
+
+    def test_band_doubles_until_cells_are_inside(self, monkeypatch):
+        # A cluster in the lower-left corner and one generator in the middle,
+        # farther than the first band from every side: its region reaches
+        # the upper and right sides, unbounded until the band takes it in.
+        rng = np.random.default_rng(3)
+        pts = np.vstack([0.05 * rng.random((40, 2)), [[0.5, 0.5]]])
+        n = len(pts)
+        sizes = _qhull_sizes(monkeypatch)
+        _assert_same_cells(pts, 1.5 * np.sqrt(1.0 / n))
+        banded = sizes[:-1]           # the last call is the full mirror
+        assert len(banded) >= 3
+        assert banded == sorted(banded) and banded[-1] < 5 * n
+
+    def test_lloyd_sweeps_reflect_few_points(self, monkeypatch):
+        n = 2048
+        sizes = _qhull_sizes(monkeypatch)
+        m = hb.build_voronoi_mesh(n, 5, 20)
+        assert m.n_cells == n
+        assert sizes[-1] == 5 * n     # the final diagram is the full mirror
+        assert len(sizes) > 20 and max(sizes[:-1]) < 2 * n
 
 
 class TestInvariants:
