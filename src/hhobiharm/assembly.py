@@ -12,10 +12,12 @@ variant B.  The global unknowns are tied to the stored face orientations and
 the local vectors to each cell's loop frame; one +-1 per local face unknown
 carries the one into the other during scatter and gather.  These signs are
 stacked per translation class, one row per member cell, and applied to the
-whole class at once.
+whole class at once.  Classes of the same shape and size are handled in
+batches (see `shape_batches`), with a leading class axis on every stack.
 """
 
 import time
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -24,10 +26,11 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .common import AssemblyError, ConfigError
+from .common import AssemblyError, ConfigError, by_columns, tr
 from .localops import (LocalOperators, build_local_matrices, reduce_face,
                        space_degrees)
-from .mesh import CellShape, Mesh, class_members, translation_classes
+from .mesh import (CellShape, Mesh, class_members, shape_batches,
+                   translation_classes)
 from .polyspace import CellBasis
 from .quadrature import (BC_EXTRA_DEGREE, RHS_EXTRA_DEGREE, QuadratureRule,
                          cell_degree, cell_rule, face_degree, face_rule)
@@ -79,10 +82,17 @@ class BoundaryData:
                           "the Dirichlet datum; supply grad= to BoundaryData")
 
     def translated(self, offset):
-        """The same data, taking points relative to `offset`."""
+        """The same data, taking points relative to `offset`.  With offsets
+        (B, 2), one per cell of a stack, the points come as B equal blocks,
+        one per cell, each taken relative to its own offset."""
+        offset = np.asarray(offset)
+        lead = offset.shape[:-1]
+
         def shift(fn):
-            return None if fn is None else (
-                lambda pts, *args: fn(pts + offset, *args))
+            def moved(pts, *args):
+                blocks = pts.reshape(lead + (-1, 2)) + offset[..., None, :]
+                return fn(blocks.reshape(-1, 2), *args)
+            return None if fn is None else moved
         return BoundaryData(shift(self._g_D), shift(self._g_N),
                             shift(self._grad))
 
@@ -109,11 +119,10 @@ class DofMap:
         _, trace_deg, normal_deg = space_degrees(variant, k)
         td, nd = trace_deg + 1, normal_deg + 1
         offset = np.full(mesh.n_faces, -1, dtype=np.int64)
-        pos = 0
-        for f in mesh.interior_faces():
-            offset[f] = pos
-            pos += td + nd
-        return cls(variant, k, bc_mode, td, nd, offset, pos)
+        interior = mesh.interior_faces()
+        offset[interior] = np.arange(len(interior)) * (td + nd)
+        return cls(variant, k, bc_mode, td, nd, offset,
+                   len(interior) * (td + nd))
 
     @property
     def dofs_per_interface(self):
@@ -122,24 +131,26 @@ class DofMap:
 
 @dataclass
 class ClassRecovery:
-    """What recovers and reconstructs the cells of one translation class
-    after the solve; the stacked arrays have one row per member.
+    """What recovers and reconstructs the cells of a batch of translation
+    classes after the solve.  Every array has a leading class axis, and the
+    member arrays one row per class and one column per member.
 
-    R, lifting, chol_TT, A_Trest and rec_basis (centered at the origin) are
-    the class's.  Local vectors are in each member's loop frame, into which
-    rest_sign carries the global face values (see `_rest_map`).
+    R, lifting, A_TT (the cell block of the local form), A_Trest and
+    rec_basis (centered at the origin) are the classes'.  Local vectors are
+    in each member's loop frame, into which rest_sign carries the global face
+    values (see `_rest_map`).
     """
-    members: np.ndarray         # cell ids, ascending
-    offsets: np.ndarray         # (m, 2) translations of the shape onto them
+    members: np.ndarray         # (B, m) cell ids, each row ascending
+    offsets: np.ndarray         # (B, m, 2) translations of the shapes onto them
     rec_basis: CellBasis
     R: np.ndarray
     lifting: Optional[np.ndarray]
-    chol_TT: tuple
+    A_TT: np.ndarray
     A_Trest: np.ndarray
-    b_T: np.ndarray             # (m, nc) cell rows of the right-hand side
-    rest_gidx: np.ndarray       # (m, n_rest) global index, -1 if prescribed
-    rest_sign: np.ndarray       # (m, n_rest) +-1 applied when gathering
-    rest_fixed: np.ndarray      # (m, n_rest) prescribed values, 0 on unknowns
+    b_T: np.ndarray             # (B, m, nc) cell rows of the right-hand side
+    rest_gidx: np.ndarray       # (B, m, n_rest) global index, -1 if prescribed
+    rest_sign: np.ndarray       # (B, m, n_rest) +-1 applied when gathering
+    rest_fixed: np.ndarray      # (B, m, n_rest) prescribed values, 0 on unknowns
 
     def gather_rest(self, x0: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Face unknowns of the members in `rows`, in their loop frames; `x0`
@@ -148,10 +159,10 @@ class ClassRecovery:
                 + self.rest_sign[rows] * x0[self.rest_gidx[rows]])
 
     def cell_coeffs(self, x0: np.ndarray) -> np.ndarray:
-        """Cell unknowns of every member, one row each (`x0` as above)."""
+        """Cell unknowns of every member, (B, m, nc) (`x0` as above)."""
         rest = self.gather_rest(x0)
-        return sla.cho_solve(self.chol_TT,
-                             (self.b_T - rest @ self.A_Trest.T).T).T
+        return tr(_cell_solve(self.A_TT,
+                              tr(self.b_T - rest @ tr(self.A_Trest))))
 
 
 @dataclass
@@ -165,8 +176,8 @@ class CondensedSystem:
     k: int
     bc_mode: str
     scaling: str
-    classes: list
-    labels: np.ndarray          # index in `classes` of each cell's class
+    classes: list               # one ClassRecovery per batch of classes
+    labels: np.ndarray          # index in `classes` of each cell's batch
     prescribed: dict            # face id -> (trace coeffs, normal coeffs)
     assembly_time: float = 0.0
 
@@ -187,7 +198,7 @@ class HHOSolution:
         """Local unknowns of a cell in its loop frame (see `ClassRecovery`),
         the frame of its R and lifting."""
         cls = self.system.classes[self.system.labels[cell_id]]
-        row = np.searchsorted(cls.members, cell_id)
+        row = tuple(np.argwhere(cls.members == cell_id)[0])
         x0 = np.append(self.face_values, 0.0)
         return np.concatenate([self.cell_coeffs[cell_id],
                                cls.gather_rest(x0, row)])
@@ -211,41 +222,55 @@ def _prescribe_boundary(mesh, variant, k, bdata):
 
 @dataclass
 class _Condensed:
-    """Local operators of a translation class with the cell block eliminated.
+    """Local operators of a batch of translation classes with the cell block
+    eliminated, stacked along a leading class axis.
 
-    Built on the class's `CellShape`.  The load rule and table are None when
+    Built on the batch's `CellShape`.  The load rule and table are None when
     there is no load.
     """
     ops: LocalOperators
-    chol_TT: tuple
+    A_TT: np.ndarray
     A_Trest: np.ndarray
     S_rr: np.ndarray
     load_rule: Optional[QuadratureRule]
     load_table: Optional[np.ndarray]
 
 
-def _condense(shape, variant, k, nitsche, bdata, scaling, with_load, cell_id):
-    """Build the local operators of a class shape and eliminate the cell block."""
-    ops = build_local_matrices(shape, 0, variant=variant, k=k, scaling=scaling,
-                               nitsche=nitsche, bdata=bdata,
+def _cell_solve(A_TT, rhs):
+    """Solve with the SPD cell blocks (one Cholesky solve per class), the
+    solution stored as LAPACK returns it.  On stretched cells the monomial
+    cell block is badly scaled (a condition estimate of 2e-28 on the 256 x 2
+    rectangles at k = 2); like a plain Cholesky factorization, this solve
+    does not warn about it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        return by_columns(sla.solve(A_TT, rhs, assume_a="pos"))
+
+
+def _condense(shape, variant, k, nitsche, bdata, scaling, with_load, cells):
+    """Build the local operators of the class shapes of a batch and eliminate
+    the cell block; `cells` names the classes' first cells in errors."""
+    ids = np.arange(len(cells))
+    ops = build_local_matrices(shape, ids, variant=variant, k=k,
+                               scaling=scaling, nitsche=nitsche, bdata=bdata,
                                check_kernel=False)
     nc = ops.layout.cell_dim
     A = ops.A
-    A_Trest = A[:nc, nc:].copy()     # a view would keep all of A alive
+    A_TT = A[..., :nc, :nc].copy()      # views would keep all of A alive
+    A_Trest = A[..., :nc, nc:].copy()
     try:
-        chol = sla.cho_factor(A[:nc, :nc])
+        Y = _cell_solve(A_TT, A_Trest)
     except sla.LinAlgError as err:
-        raise AssemblyError(f"cell {cell_id}: singular cell block in static "
-                            f"condensation") from err
-    Y = sla.cho_solve(chol, A_Trest)
-    S_rr = A[nc:, nc:] - A_Trest.T @ Y
-    S_rr = 0.5 * (S_rr + S_rr.T)
+        raise AssemblyError(f"cells {cells.tolist()}: singular cell block in "
+                            f"static condensation") from err
+    S_rr = A[..., nc:, nc:] - tr(A_Trest) @ Y
+    S_rr = 0.5 * (S_rr + tr(S_rr))
     rule = table = None
     if with_load:
-        rule = cell_rule(shape, 0, cell_degree(k) + RHS_EXTRA_DEGREE)
-        cb = CellBasis.for_cell(shape, 0, space_degrees(variant, k)[0])
+        rule = cell_rule(shape, ids, cell_degree(k) + RHS_EXTRA_DEGREE)
+        cb = CellBasis.for_cell(shape, ids, space_degrees(variant, k)[0])
         table = cb.eval(rule.points)
-    return _Condensed(ops, chol, A_Trest, S_rr, rule, table)
+    return _Condensed(ops, A_TT, A_Trest, S_rr, rule, table)
 
 
 @lru_cache(maxsize=64)
@@ -271,49 +296,59 @@ def _rest_map(layout):
 def _class_contribution(mesh, members, shape, loc, f_load, fixed_table,
                         dofmap):
     """Load, boundary bookkeeping, rhs condensation and scatter data of the
-    members of a translation class, whose build on `shape` is `loc`.
+    members (B, m) of a batch of translation classes, whose build on `shape`
+    is `loc`.
 
     `fixed_table` holds each face's prescribed [trace | normal] values in
-    its stored orientation.  Returns the COO triple and the right-hand side
-    entries of the class, and its `ClassRecovery`.
+    its stored orientation.  Returns, per class, the COO triple and the
+    right-hand side entries, and the batch's `ClassRecovery`.
     """
     ops = loc.ops
     lay = ops.layout
     nc = lay.cell_dim
-    m = len(members)
     offsets = shape.offsets(mesh, members)
 
-    b = np.zeros((m, lay.n_total))
+    b = np.zeros(members.shape + (lay.n_total,))
     if f_load is not None:
-        pts = loc.load_rule.points[None] + offsets[:, None]
+        pts = loc.load_rule.points[:, None] + offsets[:, :, None]
         vals = np.asarray(f_load(pts.reshape(-1, 2)),
-                          dtype=np.float64).reshape(m, -1)
-        b[:, :nc] = (vals * loc.load_rule.weights) @ loc.load_table
+                          dtype=np.float64).reshape(pts.shape[:-1])
+        b[..., :nc] = (vals * loc.load_rule.weights[:, None]) @ loc.load_table
     if ops.load_boundary is not None:
-        b += ops.load_boundary
+        b += ops.load_boundary[:, None]
 
     face, block, power = _rest_map(lay)
-    faces = np.array([mesh.cell_faces[c] for c in members])[:, face]
-    sign = np.array([mesh.cell_signs[c] for c in members],
+    cells = members.ravel()
+    faces = np.array([mesh.cell_faces[c] for c in cells])[:, face]
+    sign = np.array([mesh.cell_signs[c] for c in cells],
                     dtype=np.float64)[:, face] ** power
+    # Per class, the layout of a (m, n_rest) fancy-indexed table, which the
+    # products below read.
+    faces, sign = (by_columns(x.reshape(members.shape + (-1,)))
+                   for x in (faces, sign))
     start = dofmap.face_offset[faces]
     unk = start >= 0
     gidx = np.where(unk, start + block, -1)
     fixed = np.where(unk, 0.0, fixed_table[faces, block]) * sign
 
-    g_r = b[:, nc:] - sla.cho_solve(loc.chol_TT, b[:, :nc].T).T @ loc.A_Trest
+    g_r = b[..., nc:] - tr(_cell_solve(loc.A_TT, tr(b[..., :nc]))) @ loc.A_Trest
     rhs_loc = sign * (g_r - fixed @ loc.S_rr)
-    S = loc.S_rr * sign[:, :, None] * sign[:, None, :]
-    pair = unk[:, :, None] & unk[:, None, :]
-    rows = np.broadcast_to(gidx[:, :, None], S.shape)[pair]
-    cols = np.broadcast_to(gidx[:, None, :], S.shape)[pair]
+    S = loc.S_rr[:, None] * sign[..., :, None] * sign[..., None, :]
+    pair = unk[..., :, None] & unk[..., None, :]
+    rows = np.broadcast_to(gidx[..., :, None], S.shape)[pair]
+    cols = np.broadcast_to(gidx[..., None, :], S.shape)[pair]
 
     rec = ClassRecovery(members=members, offsets=offsets,
                         rec_basis=ops.rec_basis, R=ops.R,
-                        lifting=ops.lifting, chol_TT=loc.chol_TT,
-                        A_Trest=loc.A_Trest, b_T=b[:, :nc], rest_gidx=gidx,
+                        lifting=ops.lifting, A_TT=loc.A_TT,
+                        A_Trest=loc.A_Trest, b_T=b[..., :nc], rest_gidx=gidx,
                         rest_sign=sign, rest_fixed=fixed)
-    return (rows, cols, S[pair]), (gidx[unk], rhs_loc[unk]), rec
+    # Boolean masks take the entries class by class.
+    at = np.cumsum(pair.sum(axis=(1, 2, 3)))[:-1]
+    at_rhs = np.cumsum(unk.sum(axis=(1, 2)))[:-1]
+    triples = zip(*(np.split(x, at) for x in (rows, cols, S[pair])))
+    loads = zip(*(np.split(x, at_rhs) for x in (gidx[unk], rhs_loc[unk])))
+    return list(triples), list(loads), rec
 
 
 def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
@@ -321,20 +356,23 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
              scaling: str = "k2-all") -> CondensedSystem:
     """Assemble the statically condensed global system.
 
-    Works one translation class of cells (see `translation_classes`) at a
-    time.  The local operators are built once per class, on its `CellShape`
-    centered at the origin: the reconstruction, the local form, the Cholesky
-    factor of its cell block, the Schur complement and the load table.  In
-    Nitsche mode each boundary cell is a class of one, since its data terms
-    depend on where it is; its boundary data is evaluated at the translated
-    points.  For all members of a class at once: integrate the load at the
-    translated points, carry the face unknowns between the stored
-    orientation and each cell's loop frame with an exact +-1 per unknown,
-    eliminate the cell block from the right-hand side, and scatter the Schur
-    complement.  The class build is dropped before the next class starts.
-    In strong mode, boundary-face unknowns are prescribed from the boundary
-    data (canonical interpolation of g_D, L^2 projection of g_N) and moved to
-    the right-hand side.  The result is symmetric positive definite.
+    Works one batch of translation classes of cells (see
+    `translation_classes` and `shape_batches`) at a time.  The local
+    operators are built once per class, on its `CellShape` centered at the
+    origin, in one stacked `build_local_matrices` call per batch: the
+    reconstruction, the local form, its cell block, the Schur complement and
+    the load table.  In Nitsche mode each boundary cell is a class of one,
+    since its data terms depend on where it is; its boundary data is
+    evaluated at the translated points.  For all members of a batch at once:
+    integrate the load at the translated points, carry the face unknowns
+    between the stored orientation and each cell's loop frame with an exact
+    +-1 per unknown, eliminate the cell block from the right-hand side, and
+    scatter the Schur complement.  The batch build is dropped before the next
+    batch starts.  The scatter entries are put together class by class, in
+    class order, so the system does not depend on the batching.  In strong
+    mode, boundary-face unknowns are prescribed from the boundary data
+    (canonical interpolation of g_D, L^2 projection of g_N) and moved to the
+    right-hand side.  The result is symmetric positive definite.
     """
     t0 = time.perf_counter()
     dofmap = DofMap.create(mesh, variant, k, bc_mode)
@@ -343,8 +381,8 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
     fixed_table = np.zeros((mesh.n_faces, dofmap.dofs_per_interface))
     if bc_mode == "strong":
         prescribed = _prescribe_boundary(mesh, variant, k, bdata)
-        for face, (tr, nm) in prescribed.items():
-            fixed_table[face] = np.concatenate([tr, nm])
+        for face, (trace, normal) in prescribed.items():
+            fixed_table[face] = np.concatenate([trace, normal])
 
     labels = translation_classes(mesh)
     if nitsche:
@@ -353,17 +391,25 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
         # Number the classes 0, 1, ... again: a class may have lost every
         # member to the boundary.
         labels = np.unique(labels, return_inverse=True)[1]
-    triples, loads, classes = [], [], []
-    for members in class_members(labels):
-        shape = CellShape(mesh, members[0])
+    members = class_members(labels)
+    bare = None
+    if nitsche:     # the boundary faces of a class carry no unknowns
+        bare = [tuple(mesh.is_boundary_face[mesh.cell_faces[m[0]]])
+                for m in members]
+    triples, loads = [None] * len(members), [None] * len(members)
+    classes, batch_of = [], np.empty(mesh.n_cells, dtype=np.int64)
+    for batch in shape_batches(mesh, members, bare):
+        cells = np.array([members[i] for i in batch])
+        shape = CellShape(mesh, cells[:, 0])
         data = (None if bdata is None
-                else bdata.translated(shape.offsets(mesh, members[:1])[0]))
+                else bdata.translated(shape.offsets(mesh, cells[:, :1])[:, 0]))
         loc = _condense(shape, variant, k, nitsche, data, scaling,
-                        f is not None, cell_id=members[0])
-        triple, load, rec = _class_contribution(mesh, members, shape, loc, f,
-                                                fixed_table, dofmap)
-        triples.append(triple)
-        loads.append(load)
+                        f is not None, cells[:, 0])
+        part, load, rec = _class_contribution(mesh, cells, shape, loc, f,
+                                              fixed_table, dofmap)
+        for i, t, l in zip(batch, part, load):
+            triples[i], loads[i] = t, l
+        batch_of[cells] = len(classes)
         classes.append(rec)
 
     n = dofmap.n_dofs
@@ -373,20 +419,20 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
     rhs = np.bincount(gidx, weights=rhs_vals, minlength=n)
     return CondensedSystem(matrix=matrix, rhs=rhs, dofmap=dofmap, mesh=mesh,
                            variant=variant, k=k, bc_mode=bc_mode,
-                           scaling=scaling, classes=classes, labels=labels,
+                           scaling=scaling, classes=classes, labels=batch_of,
                            prescribed=prescribed,
                            assembly_time=time.perf_counter() - t0)
 
 
 def recover_cells(system: CondensedSystem, face_values: np.ndarray) -> HHOSolution:
-    """Recover the cell unknowns from the face solution: one local back-solve
-    per translation class, for all its members at once."""
+    """Recover the cell unknowns from the face solution: one stacked local
+    back-solve per batch of translation classes, for all members at once."""
     face_values = np.asarray(face_values, dtype=np.float64)
     if len(face_values) != system.n_dofs:
         raise ValueError(f"face solution has length {len(face_values)}, "
                          f"expected {system.n_dofs}")
     x0 = np.append(face_values, 0.0)
-    nc = system.classes[0].b_T.shape[1]
+    nc = system.classes[0].b_T.shape[-1]
     coeffs = np.empty((len(system.labels), nc))
     for cls in system.classes:
         coeffs[cls.members] = cls.cell_coeffs(x0)

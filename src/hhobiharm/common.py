@@ -1,4 +1,7 @@
-"""Exception types and the stabilization scaling modes shared across modules."""
+"""Exception types, the stabilization scaling modes and the helpers for
+stacks of matrices shared across modules."""
+
+import numpy as np
 
 
 class NumericalError(RuntimeError):
@@ -31,3 +34,15 @@ def stab_factors(scaling: str, k: int) -> tuple[float, float]:
     if scaling == "k2-hm1-only":
         return 1.0, k2
     return k2, k2
+
+
+def tr(X):
+    """Transpose of each matrix of a (..., r, c) stack."""
+    return X.swapaxes(-1, -2)
+
+
+def by_columns(X):
+    """X with each matrix stored column by column, as LAPACK returns it.  The
+    layout of an operand picks the BLAS kernel of a product, and with it the
+    bits of the product."""
+    return tr(np.ascontiguousarray(tr(X)))

@@ -21,7 +21,9 @@ Local vectors are ordered [cell | face traces in loop order | face normals in
 loop order].  All builders are pure functions of (mesh, cell, config) that
 read only the geometry of that one cell, so they also accept a `CellShape`,
 which is how assembly calls them: once per translation class of cells, in
-the loop frame of the class shape.
+the loop frame of the class shape.  Given an array of the cells of a
+`CellShape`, they build all of them at once, stacked along a leading cell
+axis, with the bits of one cell at a time.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .common import AssemblyError, ConfigError, stab_factors
+from .common import (AssemblyError, ConfigError, by_columns, stab_factors,
+                     tr)
 from .mesh import Mesh
 from .polyspace import (FACE_ORDERS_2, FACE_ORDERS_3, CellBasis, FaceBasis,
                         PolyCoeffs, canonical_interp_face, face_derivatives,
@@ -94,12 +97,17 @@ class LocalDofLayout:
         return slice(start, start + self.normal_dims[a])
 
 
-def make_layout(mesh: Mesh, cell_id: int, variant: str, k: int,
+def make_layout(mesh: Mesh, cell_id, variant: str, k: int,
                 nitsche: bool = False) -> LocalDofLayout:
+    """Layout of one cell, or the common layout of a stack of cells."""
     if nitsche and variant == "C":
         raise ConfigError("the Nitsche mode is only available for variants A and B")
     cell_deg, trace_deg, normal_deg = space_degrees(variant, k)
     bare = nitsche & mesh.is_boundary_face[mesh.cell_faces[cell_id]]
+    bare = bare.reshape(-1, bare.shape[-1])
+    if np.any(bare != bare[0]):
+        raise ConfigError("the cells of a stack must share their layout")
+    bare = bare[0]
     return LocalDofLayout(variant, k, nitsche, space_dim(cell_deg),
                           tuple(np.where(bare, 0, trace_deg + 1).tolist()),
                           tuple(np.where(bare, 0, normal_deg + 1).tolist()))
@@ -107,8 +115,9 @@ def make_layout(mesh: Mesh, cell_id: int, variant: str, k: int,
 
 @dataclass
 class LocalOperators:
-    """All per-cell matrices of the method (see the module docstring)."""
-    cell_id: int
+    """All per-cell matrices of the method (see the module docstring); for a
+    stack of cells, with a leading cell axis on every array and basis."""
+    cell_id: object                   # int, or an array of CellShape cells
     layout: LocalDofLayout
     rec_basis: CellBasis
     R: np.ndarray                     # (rec_dim, n) reconstruction coefficients
@@ -122,13 +131,21 @@ class LocalOperators:
 class _CellWork:
     """Quadrature tables and factorizations shared by all builders of a cell.
 
-    Every face table carries a leading face axis, faces in loop order, and is
-    built in one pass over the cell's faces; the builders are stacked
-    expressions over that axis.  `active` indexes the faces that carry
-    unknowns (all of them, except the boundary faces in Nitsche mode) and
-    `boundary` the boundary faces.  Stacked face terms are summed over axis 0,
-    which adds them in loop order, so every operator has the bits of a
-    face-by-face sum.
+    Every face table carries a face axis, faces in loop order, and is built
+    in one pass over the cell's faces; the builders are stacked expressions
+    over that axis.  `active` indexes the faces that carry unknowns (all of
+    them, except the boundary faces in Nitsche mode), and the face bases and
+    projections (`Psi`, `dPsi`, `Mf`, `T2`, `PN`) exist on those only;
+    `boundary` indexes the others.  Stacked face terms are summed over the
+    face axis, which adds them in loop order, so every operator has the bits
+    of a face-by-face sum.
+
+    `cell_id` is one cell, or an array of cell ids of a `CellShape` whose
+    cells share the vertex count, the sub-triangle count and the layout (see
+    `shape_batches`).  An array puts a leading cell axis in front of every
+    table and operator: the builders are written on (..., n, n) stacks, so
+    one cell keeps its shapes, and each cell of a stack has the bits of the
+    same cell built alone.
     """
 
     def __init__(self, mesh, cell_id, variant, k, nitsche=False):
@@ -136,42 +153,43 @@ class _CellWork:
         self.k = k
         self.nitsche = nitsche
         self.layout = make_layout(mesh, cell_id, variant, k, nitsche)
-        self.h = mesh.cell_diameter[cell_id]
+        self.h = np.asarray(mesh.cell_diameter[cell_id])
 
         self.rec_basis = CellBasis.for_cell(mesh, cell_id, k + 2)
         self.rec_dim = self.rec_basis.dim
         self.cell_dim = self.layout.cell_dim
 
         crule = cell_rule(mesh, cell_id, cell_degree(k))
-        w = crule.weights
+        w = crule.weights[..., None]
         orders = [(0, 0), (2, 0), (1, 1), (0, 2)]
         if k >= 2:
             orders += [(4, 0), (2, 2), (0, 4)]
         tab = self.rec_basis.tables(crule.points, orders)
         V = tab[(0, 0)]
         Hxx, Hxy, Hyy = tab[(2, 0)], tab[(1, 1)], tab[(0, 2)]
-        self.M_rec = self._sym(V.T @ (w[:, None] * V))
-        self.G = self._sym(Hxx.T @ (w[:, None] * Hxx)
-                           + 2.0 * Hxy.T @ (w[:, None] * Hxy)
-                           + Hyy.T @ (w[:, None] * Hyy))
+        self.M_rec = self._sym(tr(V) @ (w * V))
+        self.G = self._sym(tr(Hxx) @ (w * Hxx)
+                           + 2.0 * tr(Hxy) @ (w * Hxy)
+                           + tr(Hyy) @ (w * Hyy))
         if k >= 2:
             L2 = tab[(4, 0)] + 2.0 * tab[(2, 2)] + tab[(0, 4)]
-            self.B_bilap = L2.T @ (w[:, None] * V[:, :self.cell_dim])
+            self.B_bilap = tr(L2) @ (w * V[..., :self.cell_dim])
         else:
-            self.B_bilap = np.zeros((self.rec_dim, self.cell_dim))
+            self.B_bilap = np.zeros(self.h.shape
+                                    + (self.rec_dim, self.cell_dim))
 
         # Bordered Hessian system: 3 Lagrange rows pin the affine moments.
-        M3 = self.M_rec[:3, :]
-        K = np.zeros((self.rec_dim + 3, self.rec_dim + 3))
-        K[:self.rec_dim, :self.rec_dim] = self.G
-        K[:self.rec_dim, self.rec_dim:] = M3.T
-        K[self.rec_dim:, :self.rec_dim] = M3
-        self.saddle = sla.lu_factor(K)
+        r = self.rec_dim
+        M3 = self.M_rec[..., :3, :]
+        self.saddle = np.zeros(self.h.shape + (r + 3, r + 3))
+        self.saddle[..., :r, :r] = self.G
+        self.saddle[..., :r, r:] = tr(M3)
+        self.saddle[..., r:, :r] = M3
 
         self.mesh = mesh
         self.faces = mesh.cell_faces[cell_id]
-        self.boundary = np.flatnonzero(mesh.is_boundary_face[self.faces])
         self.active = np.flatnonzero(self.layout.trace_dims)
+        self.boundary = np.flatnonzero(np.equal(self.layout.trace_dims, 0))
         # Width of an active face's trace and normal blocks; the normal
         # blocks start after all trace blocks.
         _, trace_deg, normal_deg = space_degrees(variant, k)
@@ -182,46 +200,59 @@ class _CellWork:
         self.embed[:self.cell_dim, :self.cell_dim] = np.eye(self.cell_dim)
         rule = face_rule(mesh, self.faces, face_degree(k))
         self.w = rule.weights
-        self.n = mesh.cell_signs[cell_id][:, None] * mesh.face_normal[self.faces]
+        self.n = (mesh.cell_signs[cell_id][..., None]
+                  * mesh.face_normal[self.faces])
         self.t = mesh.face_tangent[self.faces]
-        fb = FaceBasis.for_face(mesh, self.faces, k + 2)
-        self.Psi = fb.eval(rule.points)
-        self.dPsi = fb.eval(rule.points, 1)
-        self.Mf = self._sym(_wdot(self.Psi, self.w, self.Psi))
 
         # The third orders feed d_n(Laplacian), which vanishes on P^2 (k = 0).
         tab = self._rec_tables(rule.points,
                                FACE_ORDERS_3 if k >= 1 else FACE_ORDERS_2)
         self.V = tab[(0, 0)]
         self.Dn, self.Dt, self.Dnn, self.Dnt, self.DnLap = face_derivatives(
-            tab, self.n.T[..., None, None], self.t.T[..., None, None])
+            tab, *_frame(self.n, self.t))
 
-        # Coefficients on each face of cell-polynomial traces.
-        self.T2 = sla.solve(self.Mf, _wdot(self.Psi, self.w, self.V),
+        # Face bases and coefficients of cell-polynomial traces, on the
+        # active faces.
+        a = self.active
+        pts, wa = rule.points[..., a, :, :], self.w[..., a, :]
+        fb = FaceBasis.for_face(mesh, self.faces[..., a], k + 2)
+        self.Psi = fb.eval(pts)
+        self.dPsi = fb.eval(pts, 1)
+        self.Mf = self._sym(_wdot(self.Psi, wa, self.Psi))
+        self.T2 = sla.solve(self.Mf, _wdot(self.Psi, wa, self.V[..., a, :, :]),
                             assume_a="pos")
-        self.PN = sla.solve(self.Mf[:, :k + 1, :k + 1],
-                            _wdot(self.Psi[..., :k + 1], self.w, self.Dn),
+        self.PN = sla.solve(self.Mf[..., :k + 1, :k + 1],
+                            _wdot(self.Psi[..., :k + 1], wa,
+                                  self.Dn[..., a, :, :]),
                             assume_a="pos")
 
     @staticmethod
     def _sym(M):
-        return 0.5 * (M + M.swapaxes(-1, -2))
+        return 0.5 * (M + tr(M))
+
+    def _h(self, p, nd):
+        """h^p of each cell, shaped to scale items of `nd` axes.  C `pow`,
+        as on a scalar, for the same bits."""
+        hp = np.float_power(self.h, p)
+        return hp.reshape(hp.shape + (1,) * nd)
 
     def saddle_solve(self, rhs, moments=None):
         """Solve the bordered Hessian system for a block of right-hand sides,
         one per column."""
-        ncol = rhs.shape[1]
-        full = np.zeros((self.rec_dim + 3, ncol))
-        full[:self.rec_dim] = rhs
+        r = self.rec_dim
+        full = np.zeros(self.saddle.shape[:-2] + (r + 3, rhs.shape[-1]))
+        full[..., :r, :] = rhs
         if moments is not None:
-            full[self.rec_dim:] = moments
-        sol = sla.lu_solve(self.saddle, full)
-        return sol[:self.rec_dim]
+            full[..., r:, :] = moments
+        return by_columns(sla.solve(self.saddle, full,
+                                     assume_a="gen"))[..., :r, :]
 
     def _rec_tables(self, pts, orders):
-        """`rec_basis.tables` at stacked (nF, nq, 2) points, as (nF, nq, .)."""
-        tab = self.rec_basis.tables(pts.reshape(-1, 2), orders)
-        return {key: T.reshape(pts.shape[:2] + (self.rec_dim,))
+        """`rec_basis.tables` at stacked (..., nF, nq, 2) points, as
+        (..., nF, nq, .)."""
+        tab = self.rec_basis.tables(pts.reshape(pts.shape[:-3] + (-1, 2)),
+                                    orders)
+        return {key: T.reshape(pts.shape[:-1] + (self.rec_dim,))
                 for key, T in tab.items()}
 
     # -- reconstruction -------------------------------------------------------
@@ -229,33 +260,33 @@ class _CellWork:
     def reconstruction_rhs(self, path="ipp"):
         lay = self.layout
         nc = self.cell_dim
-        B = np.zeros((self.rec_dim, lay.n_total))
+        B = np.zeros(self.h.shape + (self.rec_dim, lay.n_total))
         if path == "ipp":
-            B[:, :nc] = self.B_bilap
+            B[..., :nc] = self.B_bilap
         elif path == "variational":
             w = self.w
             blk = -_wdot(self.Dnn, w, self.Dn[..., :nc])
             blk -= _wdot(self.Dnt, w, self.Dt[..., :nc])
             if self.DnLap is not None:
                 blk += _wdot(self.DnLap, w, self.V[..., :nc])
-            B[:, :nc] = _loop_sum(self.G[:, :nc], blk)
+            B[..., :nc] = _loop_sum(self.G[..., :nc], blk)
         else:
             raise ValueError(f"unknown reconstruction path {path!r}")
         a, td = self.active, self.td
-        w = self.w[a]
-        tr = _wdot(self.Dnt[a], w, self.dPsi[a, :, :td])
+        w = self.w[..., a, :]
+        trace = _wdot(self.Dnt[..., a, :, :], w, self.dPsi[..., :td])
         if self.DnLap is not None:
-            tr -= _wdot(self.DnLap[a], w, self.Psi[a, :, :td])
-        nr = _wdot(self.Dnn[a], w, self.Psi[a, :, :self.nd])
-        # (nA, rec_dim, d) face blocks laid side by side, in loop order.
-        B[:, nc:self.n0] = tr.transpose(1, 0, 2).reshape(self.rec_dim, -1)
-        B[:, self.n0:] = nr.transpose(1, 0, 2).reshape(self.rec_dim, -1)
+            trace -= _wdot(self.DnLap[..., a, :, :], w, self.Psi[..., :td])
+        normal = _wdot(self.Dnn[..., a, :, :], w, self.Psi[..., :self.nd])
+        B[..., nc:self.n0] = _side_by_side(trace)
+        B[..., self.n0:] = _side_by_side(normal)
         return B
 
     def reconstruction(self, path="ipp"):
         B = self.reconstruction_rhs(path)
-        moments = np.zeros((3, self.layout.n_total))
-        moments[:, self.layout.cell_slice] = self.M_rec[:3, :self.cell_dim]
+        moments = np.zeros(B.shape[:-2] + (3, self.layout.n_total))
+        moments[..., self.layout.cell_slice] = self.M_rec[..., :3,
+                                                          :self.cell_dim]
         return self.saddle_solve(B, moments)
 
     # -- stabilization --------------------------------------------------------
@@ -263,44 +294,48 @@ class _CellWork:
     def stabilization(self, scaling, R=None):
         lay = self.layout
         n = lay.n_total
-        k, h, nc = self.k, self.h, self.cell_dim
+        k, nc = self.k, self.cell_dim
         fac_low, fac_hm1 = stab_factors(scaling, k)
-        a, td, nd = self.active, self.td, self.nd
+        td, nd = self.td, self.nd
 
         first = np.zeros((n, n))
         Z = self.embed
         if self.variant == "C":   # penalize against the reconstruction
             if R is None:
                 R = self.reconstruction()
-            Pc = sla.solve(self.M_rec[:nc, :nc], self.M_rec[:nc, :],
-                           assume_a="pos")
+            M = self.M_rec[..., :nc, :nc]
+            Pc = sla.solve(M, self.M_rec[..., :nc, :], assume_a="pos")
             rho0 = -Pc @ R
-            rho0[:, lay.cell_slice] += np.eye(nc)
-            first += fac_low * h ** -4 * rho0.T @ self.M_rec[:nc, :nc] @ rho0
+            rho0[..., lay.cell_slice] += np.eye(nc)
+            first = first + fac_low * self._h(-4, 2) * tr(rho0) @ M @ rho0
             Z = R
 
         # Variant B penalizes plain L^2 traces; A and C the canonical
         # interpolation J onto P^{k+1} of each face.
-        T2 = self.T2[a]
+        T2 = self.T2
         if self.variant != "B":
             T2 = reference_interp_matrix(k, k + 2) @ T2
+        Z = Z[..., None, :, :]
         rho1 = _put_eye(-T2 @ Z, nc, td)
-        rho2 = _put_eye(-self.PN[a] @ Z, self.n0, nd)
+        rho2 = _put_eye(-self.PN @ Z, self.n0, nd)
         S = _loop_sum(first,
-                      _gram(rho1, fac_low * h ** -3, self.Mf[a, :td, :td]),
-                      _gram(rho2, fac_hm1 * h ** -1, self.Mf[a, :nd, :nd]))
+                      _gram(rho1, fac_low * self._h(-3, 3),
+                            self.Mf[..., :td, :td]),
+                      _gram(rho2, fac_hm1 * self._h(-1, 3),
+                            self.Mf[..., :nd, :nd]))
 
         if self.nitsche:
-            S[lay.cell_slice, lay.cell_slice] += self.boundary_penalty(
-                fac_low * h ** -3, fac_hm1 * h ** -1)
+            S[..., lay.cell_slice, lay.cell_slice] += self.boundary_penalty(
+                fac_low * self._h(-3, 3), fac_hm1 * self._h(-1, 3))
         return self._sym(S)
 
     def boundary_penalty(self, w_val, w_grad):
-        """Penalty Gram w_val (v, w)_dKb + w_grad (grad v, grad w)_dKb, cell block."""
+        """Penalty Gram w_val (v, w)_dKb + w_grad (grad v, grad w)_dKb, cell
+        block; the weights scale the (..., nF, nq, nc) face tables."""
         nc = self.cell_dim
         b = self.boundary
-        V, Dn, Dt = (T[b, :, :nc] for T in (self.V, self.Dn, self.Dt))
-        w = self.w[b]
+        V, Dn, Dt = (T[..., b, :, :nc] for T in (self.V, self.Dn, self.Dt))
+        w = self.w[..., b, :]
         P = _loop_sum(np.zeros((nc, nc)),
                       _wdot(w_val * V, w, V),
                       w_grad * (_wdot(Dn, w, Dn) + _wdot(Dt, w, Dt)))
@@ -311,22 +346,23 @@ class _CellWork:
     def seminorm_gram(self):
         lay = self.layout
         n = lay.n_total
-        k, h, nc = self.k, self.h, self.cell_dim
-        a = self.active
-        first = np.zeros((n, n))
-        first[:nc, :nc] = self.G[:nc, :nc]
+        k, nc = self.k, self.cell_dim
+        first = np.zeros(self.h.shape + (n, n))
+        first[..., :nc, :nc] = self.G[..., :nc, :nc]
 
         m1 = k + 2   # dim P^{k+1}(F)
-        N1 = sla.solve(self.Mf[a, :m1, :m1],
-                       _wdot(self.Psi[a, :, :m1], self.w[a], self.Dn[a]),
+        a = self.active
+        N1 = sla.solve(self.Mf[..., :m1, :m1],
+                       _wdot(self.Psi[..., :m1], self.w[..., a, :],
+                             self.Dn[..., a, :, :]),
                        assume_a="pos")
-        rho = _put_eye(-self.T2[a] @ self.embed, nc, self.td)
+        rho = _put_eye(-self.T2 @ self.embed, nc, self.td)
         rho_n = _put_eye(-N1 @ self.embed, self.n0, self.nd)
-        N = _loop_sum(first, _gram(rho, h ** -3, self.Mf[a]),
-                      _gram(rho_n, h ** -1, self.Mf[a, :m1, :m1]))
+        N = _loop_sum(first, _gram(rho, self._h(-3, 3), self.Mf),
+                      _gram(rho_n, self._h(-1, 3), self.Mf[..., :m1, :m1]))
         if self.nitsche:
-            N[lay.cell_slice, lay.cell_slice] += self.boundary_penalty(
-                h ** -3, h ** -1)
+            N[..., lay.cell_slice, lay.cell_slice] += self.boundary_penalty(
+                self._h(-3, 3), self._h(-1, 3))
         return self._sym(N)
 
     # -- boundary data (Nitsche) -------------------------------------------------
@@ -336,74 +372,100 @@ class _CellWork:
 
         The lifting right-hand side is -(g_D, dn Lap w) + (G, grad dn w); the
         load holds the boundary penalty tested against the cell unknown.  The
-        data are sampled once, on the points of all boundary faces together.
+        data are sampled once, on the points of all boundary faces together,
+        cell by cell in a stack.
         """
         fac_low, fac_hm1 = stab_factors(scaling, self.k)
-        h, nc = self.h, self.cell_dim
+        nc = self.cell_dim
         b = self.boundary
-        rule = face_rule(self.mesh, self.faces[b],
+        rule = face_rule(self.mesh, self.faces[..., b],
                          face_degree(self.k) + BC_EXTRA_DEGREE)
         pts, w = rule.points, rule.weights
-        n, t = self.n[b], self.t[b]
+        n, t = self.n[..., b, :], self.t[..., b, :]
         tab = self._rec_tables(pts, FACE_ORDERS_3)
-        Dn, Dt, Dnn, Dnt, DnLap = face_derivatives(tab, n.T[..., None, None],
-                                                   t.T[..., None, None])
+        Dn, Dt, Dnn, Dnt, DnLap = face_derivatives(tab, *_frame(n, t))
         flat = pts.reshape(-1, 2)
         gD = np.asarray(bdata.dirichlet(flat), dtype=np.float64).reshape(w.shape)
         grad = bdata.boundary_gradient(flat).reshape(pts.shape)
-        gN = (grad @ n[:, :, None])[..., 0]
-        dtg = (grad @ t[:, :, None])[..., 0]
+        gN = (grad @ n[..., None])[..., 0]
+        dtg = (grad @ t[..., None])[..., 0]
 
         def tested(T, g):
-            return _wdot(T, w, g[..., None])[..., 0]
+            """Face integrals of the table T against g, as columns."""
+            return _wdot(T, w, g[..., None])
 
-        rhs = _loop_sum(np.zeros(self.rec_dim),
+        rhs = _loop_sum(np.zeros((self.rec_dim, 1)),
                         tested(Dnn, gN) + tested(Dnt, dtg), -tested(DnLap, gD))
-        load = np.zeros(self.layout.n_total)
-        load[:nc] = _loop_sum(
-            np.zeros(nc),
-            tested(fac_low * h ** -3 * tab[(0, 0)][..., :nc], gD)
-            + fac_hm1 * h ** -1 * (tested(Dn[..., :nc], gN)
-                                   + tested(Dt[..., :nc], dtg)))
-        lifting = self.saddle_solve(rhs[:, None])[:, 0]
-        return rhs, lifting, load
+        load = np.zeros(rhs.shape[:-2] + (self.layout.n_total,))
+        load[..., :nc] = _loop_sum(
+            np.zeros((nc, 1)),
+            tested(fac_low * self._h(-3, 3) * tab[(0, 0)][..., :nc], gD)
+            + fac_hm1 * self._h(-1, 3) * (tested(Dn[..., :nc], gN)
+                                          + tested(Dt[..., :nc], dtg)))[..., 0]
+        lifting = self.saddle_solve(rhs)[..., 0]
+        return rhs[..., 0], lifting, load
 
     def nitsche_data(self, bdata, scaling, R):
         """Lifting coefficients and the boundary part of the local load vector."""
         rhs_lift, lifting, load = self._nitsche_terms(bdata, scaling)
-        return lifting, load - R.T @ rhs_lift
+        return lifting, load - _apply(tr(R), rhs_lift)
 
     def nitsche_load_two_path(self, bdata, scaling, R):
         """Data terms of the load assembled through the lifting (cross-check path)."""
         _, lifting, load = self._nitsche_terms(bdata, scaling)
-        return load - R.T @ (self.G @ lifting)
+        return load - _apply(tr(R), _apply(self.G, lifting))
+
+
+def _apply(M, v):
+    """M v for (..., r, c) matrices and (..., c) vectors, one per matrix."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _frame(n, t):
+    """Unit normals and tangents (..., nF, 2) as the (2, ..., nF, 1, 1)
+    components that `face_derivatives` takes for stacked face tables."""
+    return (np.moveaxis(n, -1, 0)[..., None, None],
+            np.moveaxis(t, -1, 0)[..., None, None])
+
+
+def _side_by_side(X):
+    """(..., nF, r, d) face blocks laid side by side in loop order, as
+    (..., r, nF * d)."""
+    return X.swapaxes(-3, -2).reshape(X.shape[:-3] + (X.shape[-2], -1))
 
 
 def _wdot(X, w, Y):
-    """Face integrals X^T (w Y) of stacked (nF, nq, .) tables, one per face."""
-    return X.swapaxes(-1, -2) @ (w[..., None] * Y)
+    """Face integrals X^T (w Y) of stacked (..., nF, nq, .) tables, one per
+    face."""
+    return tr(X) @ (w[..., None] * Y)
 
 
 def _gram(rho, weight, M):
     """Face penalty Grams (weight rho^T) M rho, one per face."""
-    return (weight * rho.swapaxes(-1, -2)) @ M @ rho
+    return (weight * tr(rho)) @ M @ rho
 
 
 def _put_eye(rho, start, dim):
     """Add to each face's rho the identity on its own block: face i owns the
     `dim` columns from start + i * dim."""
-    i = np.arange(len(rho))[:, None]
+    i = np.arange(rho.shape[-3])[:, None]
     j = np.arange(dim)
-    rho[i, j, start + i * dim + j] += 1.0
+    rho[..., i, j, start + i * dim + j] += 1.0
     return rho
 
 
 def _loop_sum(first, *stacks):
     """first + the stacks' face terms, added face by face in loop order (for
-    each face, one term of each stack).  numpy sums axis 0 of a contiguous
-    stack sequentially, so this has the bits of the same sum in a loop."""
-    terms = np.stack(stacks, axis=1).reshape((-1,) + first.shape)
-    return np.concatenate([first[None], terms]).sum(axis=0)
+    each face, one term of each stack).  The stacks are (..., nF, r, c), and
+    first is (r, c) or (..., r, c).  numpy sums a contiguous stack over an
+    axis that is not the last sequentially, so this has the bits of the same
+    sum in a loop."""
+    lead, ns = stacks[0].shape[:-2], len(stacks)
+    terms = np.empty(lead[:-1] + (1 + lead[-1] * ns,) + first.shape[-2:])
+    terms[..., 0, :, :] = first
+    for i, stack in enumerate(stacks):
+        terms[..., 1 + i::ns, :, :] = stack
+    return terms.sum(axis=-3)
 
 
 def _kernel_dim(A, tol=1e-12):
@@ -446,7 +508,8 @@ def build_seminorm_gram(mesh, cell_id, variant="A", k=1,
 def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
                          nitsche=False, bdata=None,
                          check_kernel=True) -> LocalOperators:
-    """Build all local matrices of one cell.
+    """Build all local matrices of one cell, or of a stack of cells of a
+    `CellShape` (see `_CellWork`), stacked along a leading cell axis.
 
     With `check_kernel`, verifies that ker(A) has dimension exactly 3 (the
     affine modes), or 0 on Nitsche cells touching the boundary; a mismatch
@@ -455,8 +518,7 @@ def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
     work = _CellWork(mesh, cell_id, variant, k, nitsche)
     R = work.reconstruction()
     S = work.stabilization(scaling, R=R)
-    A = R.T @ work.G @ R + S
-    A = 0.5 * (A + A.T)
+    A = work._sym(tr(R) @ work.G @ R + S)
 
     lifting = None
     load_boundary = None
@@ -464,16 +526,18 @@ def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
         if bdata is not None and len(work.boundary):
             lifting, load_boundary = work.nitsche_data(bdata, scaling, R)
         else:
-            lifting = np.zeros(work.rec_dim)
-            load_boundary = np.zeros(work.layout.n_total)
+            lifting = np.zeros(work.h.shape + (work.rec_dim,))
+            load_boundary = np.zeros(work.h.shape + (work.layout.n_total,))
 
     if check_kernel:
         expected = 0 if (nitsche and len(work.boundary)) else 3
-        got = _kernel_dim(A)
-        if got != expected:
-            raise AssemblyError(
-                f"cell {cell_id}: local form has kernel dimension {got}, "
-                f"expected {expected} (variant {variant}, k={k})")
+        n = work.layout.n_total
+        for c, Ac in zip(np.ravel(cell_id), A.reshape(-1, n, n)):
+            got = _kernel_dim(Ac)
+            if got != expected:
+                raise AssemblyError(
+                    f"cell {c}: local form has kernel dimension {got}, "
+                    f"expected {expected} (variant {variant}, k={k})")
 
     return LocalOperators(cell_id=cell_id, layout=work.layout,
                           rec_basis=work.rec_basis, R=R, G=work.G, S=S, A=A,

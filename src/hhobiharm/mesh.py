@@ -25,7 +25,7 @@ __all__ = [
     "MeshError", "MeshFormatError",
     "build_rect_mesh", "build_tri_mesh", "build_voronoi_mesh",
     "build_polygon_mesh", "load_mesh", "save_mesh", "validate",
-    "subtriangulate", "translation_classes", "class_members",
+    "subtriangulate", "translation_classes", "class_members", "shape_batches",
     "with_flipped_face",
 ]
 
@@ -34,6 +34,11 @@ MESH_FORMAT = "hho-mesh-v1"
 # Relative tolerance of `translation_classes`: vertex offsets in units of the
 # cell diameter, and diameters.
 SHAPE_TOL = 1e-12
+
+# Most translation classes in one batch of `shape_batches`: the stacked
+# local build and condensation of a batch allocate about 0.7 MB per class
+# at k = 2 and 1.2 MB at k = 3 (hexagons), all freed with the batch.
+_BATCH = 8
 
 
 class MeshError(ValueError):
@@ -297,46 +302,58 @@ class Mesh:
 
 
 class CellShape:
-    """One mesh cell moved so that its centroid is the origin, as cell 0 of a
-    one-cell mesh.
+    """Mesh cells moved so that their centroids are the origin, as the cells
+    0, 1, ... of a mesh of unconnected cells.
 
     It carries the `Mesh` attributes that the per-cell builders read (the
     quadrature rules, the bases and the local operators), without the cost of
-    building and checking a `Mesh`.  Face a runs from loop vertex a to loop
-    vertex a+1, so every sign is +1: this is the cell's loop frame.  The
-    boundary flags are those of the cell's faces in the mesh; a boundary face
-    is stored along the loop, so its normal points out of the domain here too.
-    Operators built on it serve every cell of the translation class.
+    building and checking a `Mesh`.  `cells` is one cell id, or an array of
+    the ids of cells with the same vertex count, which are stacked: shape b
+    owns faces and vertices b * nv, ..., b * nv + nv - 1, and its per-cell
+    attributes are arrays, so the builders take an array of shape ids too.
+    Face a of a shape runs from its loop vertex a to loop vertex a+1, so every
+    sign is +1: this is the cell's loop frame.  The boundary flags are those
+    of the cell's faces in the mesh; a boundary face is stored along the loop,
+    so its normal points out of the domain here too.  Operators built on a
+    shape serve every cell of its translation class.
     """
 
-    def __init__(self, mesh: Mesh, c: int):
-        verts = mesh.vertices[mesh.cell_loops[c]] - mesh.cell_centroid[c]
-        faces = mesh.cell_faces[c]
-        sgn = mesh.cell_signs[c][:, None]
-        m = len(verts)
-        ids = np.arange(m)
-        nxt = (ids + 1) % m
-        self.vertices = verts
-        self.face_vertices = np.column_stack([ids, nxt])
-        self.face_length = mesh.face_length[faces]
-        self.face_tangent = sgn * mesh.face_tangent[faces]
-        self.face_normal = sgn * mesh.face_normal[faces]
-        self.face_midpoint = 0.5 * (verts + verts[nxt])
-        self.is_boundary_face = mesh.is_boundary_face[faces]
-        self.cell_faces = [ids]
-        self.cell_signs = [np.ones(m, dtype=np.int64)]
-        self.cell_loops = [ids]
-        self.cell_centroid = np.zeros((1, 2))
-        self.cell_diameter = mesh.cell_diameter[c:c + 1]
+    def __init__(self, mesh: Mesh, cells):
+        cells = np.atleast_1d(cells)
+        loops = np.array([mesh.cell_loops[c] for c in cells])
+        faces = np.array([mesh.cell_faces[c] for c in cells])
+        sgn = np.array([mesh.cell_signs[c] for c in cells])[..., None]
+        verts = mesh.vertices[loops] - mesh.cell_centroid[cells][:, None]
+        n, m = loops.shape
+        ids = np.arange(n * m).reshape(n, m)
+        nxt = np.roll(ids, -1, axis=1)
+        self.vertices = verts.reshape(-1, 2)
+        self.face_vertices = np.stack([ids, nxt], axis=-1).reshape(-1, 2)
+        self.face_length = mesh.face_length[faces].ravel()
+        self.face_tangent = (sgn * mesh.face_tangent[faces]).reshape(-1, 2)
+        self.face_normal = (sgn * mesh.face_normal[faces]).reshape(-1, 2)
+        self.face_midpoint = 0.5 * (self.vertices + self.vertices[nxt.ravel()])
+        self.is_boundary_face = mesh.is_boundary_face[faces].ravel()
+        self.cell_faces = ids
+        self.cell_signs = np.ones((n, m), dtype=np.int64)
+        self.cell_loops = ids
+        self.cell_centroid = np.zeros((n, 2))
+        self.cell_diameter = mesh.cell_diameter[cells]
 
-    def cell_polygon(self, c: int) -> np.ndarray:
-        return self.vertices
+    @property
+    def n_cells(self):
+        return len(self.cell_loops)
+
+    def cell_polygon(self, c) -> np.ndarray:
+        return self.vertices[self.cell_loops[c]]
 
     def offsets(self, mesh: Mesh, cells) -> np.ndarray:
-        """Translations that carry this shape onto the given cells of `mesh`,
-        first vertex onto first vertex: one row per cell."""
-        first = [mesh.cell_loops[c][0] for c in cells]
-        return mesh.vertices[first] - self.vertices[0]
+        """Translations that carry the shapes onto the given cells of `mesh`,
+        first vertex onto first vertex: `cells` is (n_shapes, m), one row of
+        cells per shape, and the result (n_shapes, m, 2)."""
+        first = np.array([mesh.cell_loops[c][0] for c in np.ravel(cells)])
+        origin = self.vertices[self.cell_loops[:, 0]]
+        return mesh.vertices[first.reshape(np.shape(cells))] - origin[:, None]
 
 
 def translation_classes(mesh: Mesh) -> np.ndarray:
@@ -389,6 +406,37 @@ def class_members(labels: np.ndarray) -> list:
     """Cell ids of each class of a labelling, in ascending label order."""
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def shape_batches(mesh: Mesh, members: list, extra=None) -> list:
+    """Batches of translation classes that the per-cell builders can stack.
+
+    `members` holds the cell ids of each class (see `class_members`), and
+    `extra`, if given, one more key per class.  The classes of a batch share
+    the vertex count, the sub-triangle count (a centroid fan or an
+    ear-clipping, see `subtriangulate`), the member count and the extra key.
+    A batch holds at most `_BATCH` classes, in the order of `members`.
+    Returns the indices into `members` of each batch, the batches in the
+    order of their first classes.
+    """
+    first = np.array([cells[0] for cells in members])
+    sizes = np.array([len(mesh.cell_loops[c]) for c in first])
+    ntri = np.ones_like(sizes)
+    for n in np.unique(sizes[sizes > 3]):
+        sel = np.flatnonzero(sizes == n)
+        loops = np.array([mesh.cell_loops[c] for c in first[sel]])
+        fan = _fan(mesh.vertices[loops], np.arange(1, n + 1) % n,
+                   mesh.cell_centroid[first[sel]],
+                   mesh.cell_diameter[first[sel]])
+        ntri[sel] = np.where(fan, n, n - 2)
+    if extra is None:
+        extra = [None] * len(members)
+    groups = {}
+    for i, key in enumerate(zip(sizes, ntri, map(len, members), extra)):
+        groups.setdefault(key, []).append(i)
+    batches = [g[j:j + _BATCH] for g in groups.values()
+               for j in range(0, len(g), _BATCH)]
+    return [np.array(b) for b in sorted(batches)]
 
 
 # -- generators --------------------------------------------------------------
@@ -589,27 +637,41 @@ def _ear_clip(pts):
     return np.array([[pts[i] for i in t] for t in tris])
 
 
-def subtriangulate(mesh: Mesh, cell_id: int) -> np.ndarray:
+def _fan(pts, nxt, cen, h):
+    """Whether polygons (..., n, 2) are strictly star-shaped with respect to
+    their centroids `cen` (..., 2), to a margin set by their diameters `h`;
+    `nxt` is the index of the next vertex of each vertex."""
+    v1 = pts - cen[..., None, :]
+    v2 = pts[..., nxt, :] - cen[..., None, :]
+    cross = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
+    return cross.min(axis=-1) > 1e-12 * np.float_power(h, 2)
+
+
+def subtriangulate(mesh: Mesh, cell_id) -> np.ndarray:
     """Simplicial submesh of one cell: an (ntri, 3, 2) array of positively
     oriented triangles (coordinates, not vertex ids).
 
     Triangles are themselves; other cells get a centroid fan when star-shaped
     with respect to their centroid, and an ear-clipping triangulation
-    otherwise.
+    otherwise.  An array of the ids of cells of a `CellShape` gives their
+    submeshes stacked, (ncells, ntri, 3, 2); they must all take the same
+    kind of triangulation.
     """
     pts = mesh.cell_polygon(cell_id)
-    n = len(pts)
+    n = pts.shape[-2]
     if n == 3:
-        return pts[None].copy()
+        return pts[..., None, :, :].copy()
     cen = mesh.cell_centroid[cell_id]
-    h2 = mesh.cell_diameter[cell_id] ** 2
     nxt = np.arange(1, n + 1) % n
-    v1 = pts - cen
-    v2 = pts[nxt] - cen
-    cross = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-    if np.all(cross > 1e-12 * h2):
-        return np.stack([np.broadcast_to(cen, (n, 2)), pts, pts[nxt]], axis=1)
-    return _ear_clip(pts)
+    fan = _fan(pts, nxt, cen, mesh.cell_diameter[cell_id])
+    if fan.all():
+        return np.stack([np.broadcast_to(cen[..., None, :], pts.shape), pts,
+                         pts[..., nxt, :]], axis=-2)
+    if fan.any():
+        raise MeshError("cells of one stack need the same kind of "
+                        "triangulation")
+    return np.array([_ear_clip(p) for p in pts.reshape(-1, n, 2)]).reshape(
+        pts.shape[:-2] + (n - 2, 3, 2))
 
 
 # -- validation ---------------------------------------------------------------

@@ -76,18 +76,24 @@ def _deriv_factors(degree: int, order: tuple):
 
 
 class CellBasis:
-    """Scaled monomial basis ((x-c)/h)^ax ((y-c)/h)^ay, |alpha| <= degree."""
+    """Scaled monomial basis ((x-c)/h)^ax ((y-c)/h)^ay, |alpha| <= degree.
 
-    def __init__(self, center, scale: float, degree: int, cell_id=None):
+    With a leading cell axis on center (ncells, 2) and scale (ncells,) it
+    stands for many cells at once, on points and tables with the same
+    leading axis."""
+
+    def __init__(self, center, scale, degree: int, cell_id=None):
         self.center = np.asarray(center, dtype=np.float64)
-        self.scale = float(scale)
+        self.scale = np.asarray(scale, dtype=np.float64)
         self.degree = int(degree)
         self.cell_id = cell_id
         self.exponents = _exponents(degree)
         self.dim = len(self.exponents)
 
     @classmethod
-    def for_cell(cls, mesh: Mesh, cell_id: int, degree: int):
+    def for_cell(cls, mesh: Mesh, cell_id, degree: int):
+        """Basis of one cell, or of every cell of an array of `CellShape`
+        cell ids."""
         return cls(mesh.cell_centroid[cell_id], mesh.cell_diameter[cell_id],
                    degree, cell_id=cell_id)
 
@@ -95,24 +101,30 @@ class CellBasis:
         """Derivative tables for several orders, sharing the power computations.
 
         `orders` is an iterable of (dx, dy); the result maps each pair to the
-        (npts, dim) table of d^dx_x d^dy_y phi_j at the points.
+        (npts, dim) table of d^dx_x d^dy_y phi_j at the points, or the
+        (ncells, npts, dim) stack for (ncells, npts, 2) points of as many
+        cells.  Scale powers use C `pow`, as on a scalar, for the same bits.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        X = (pts[:, 0] - self.center[0]) / self.scale
-        Y = (pts[:, 1] - self.center[1]) / self.scale
+        scale = self.scale[..., None]
+        X = (pts[..., 0] - self.center[..., None, 0]) / scale
+        Y = (pts[..., 1] - self.center[..., None, 1]) / scale
         deg = self.degree
-        Xp = np.empty((len(pts), deg + 1))
-        Yp = np.empty((len(pts), deg + 1))
-        Xp[:, 0] = 1.0
-        Yp[:, 0] = 1.0
+        Xp = np.empty(X.shape + (deg + 1,))
+        Yp = np.empty(Y.shape + (deg + 1,))
+        Xp[..., 0] = 1.0
+        Yp[..., 0] = 1.0
         for i in range(1, deg + 1):
-            Xp[:, i] = Xp[:, i - 1] * X
-            Yp[:, i] = Yp[:, i - 1] * Y
+            Xp[..., i] = Xp[..., i - 1] * X
+            Yp[..., i] = Yp[..., i - 1] * Y
         out = {}
         for dx, dy in orders:
             coeff, rest = _deriv_factors(deg, (dx, dy))
-            coeff = coeff / self.scale ** (dx + dy)
-            out[(dx, dy)] = coeff[None, :] * Xp[:, rest[:, 0]] * Yp[:, rest[:, 1]]
+            coeff = coeff / np.float_power(scale, dx + dy)
+            table = Xp[..., rest[:, 0]]
+            table *= coeff[..., None, :]
+            table *= Yp[..., rest[:, 1]]
+            out[(dx, dy)] = table
         return out
 
     def eval(self, pts, dx: int = 0, dy: int = 0) -> np.ndarray:

@@ -99,19 +99,22 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, w.ravel(), degree)
 
 
-def cell_rule(mesh: Mesh, cell_id: int, degree: int) -> QuadratureRule:
+def cell_rule(mesh: Mesh, cell_id, degree: int) -> QuadratureRule:
     """Composite rule over the sub-triangulation of one cell.
 
     Exact for 2D polynomials of total degree up to `degree`; weights sum to
     the cell area.  The reference rule is mapped onto all sub-triangles at
-    once.
+    once.  An array of the ids of cells of a `CellShape` gives the rules of
+    all those cells stacked along a leading cell axis: points (ncells, nq, 2)
+    and weights (ncells, nq).
     """
     ref = triangle_rule(degree)
     tris = subtriangulate(mesh, cell_id)
-    a = tris[:, None, 0]
-    ab = tris[:, None, 1] - a
-    ac = tris[:, None, 2] - a
+    a = tris[..., None, 0, :]
+    ab = tris[..., None, 1, :] - a
+    ac = tris[..., None, 2, :] - a
     jac = np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
     pts = a + ref.points[:, :1] * ab + ref.points[:, 1:] * ac
-    return QuadratureRule(pts.reshape(-1, 2), (ref.weights * jac).ravel(),
-                          degree)
+    lead = tris.shape[:-3]
+    return QuadratureRule(pts.reshape(lead + (-1, 2)),
+                          (ref.weights * jac).reshape(lead + (-1,)), degree)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .common import SolverError
+from .common import SolverError, tr
 from .assembly import CondensedSystem, HHOSolution, recover_cells
-from .mesh import CellShape, class_members, translation_classes
+from .mesh import CellShape, class_members, shape_batches, translation_classes
 from .polyspace import (FACE_ORDERS_3, CellBasis, PolyCoeffs, face_derivatives,
                         project_cell)
 from .quadrature import (DATA_EXTRA_DEGREE, ERROR_EXTRA_DEGREE, cell_degree,
@@ -177,42 +177,52 @@ def reconstruct_field(system: CondensedSystem, solution) -> list:
     """Cellwise reconstruction R(u) of the discrete solution.
 
     Accepts the face solution vector or a recovered HHOSolution.  One
-    product with R per translation class; in Nitsche mode the stored
-    boundary-data lifting is added on boundary cells.
+    stacked product with R per batch of translation classes; in Nitsche mode
+    the stored boundary-data lifting is added on boundary cells.
     """
     if not isinstance(solution, HHOSolution):
         solution = recover_cells(system, solution)
     x0 = np.append(solution.face_values, 0.0)
     out = [None] * len(system.labels)
     for cls in system.classes:
-        local = np.hstack([solution.cell_coeffs[cls.members],
-                           cls.gather_rest(x0)])
-        coeffs = local @ cls.R.T
+        local = np.concatenate([solution.cell_coeffs[cls.members],
+                                cls.gather_rest(x0)], axis=-1)
+        coeffs = local @ tr(cls.R)
         if cls.lifting is not None:         # Nitsche mode only
-            coeffs += cls.lifting
+            coeffs += cls.lifting[:, None]
         b = cls.rec_basis
-        for c, offset, row in zip(cls.members, cls.offsets, coeffs):
-            out[c] = PolyCoeffs(CellBasis(offset, b.scale, b.degree, c), row)
+        for cells, offsets, rows, h in zip(cls.members, cls.offsets, coeffs,
+                                           b.scale):
+            for c, offset, row in zip(cells, offsets, rows):
+                out[c] = PolyCoeffs(CellBasis(offset, h, b.degree, c), row)
     return out
 
 
 def _field_values(polys, pts, ref_pts, h, offsets, orders):
     """Derivatives of the given orders of the fields at their cells' points,
-    shape (len(orders), m, nq).  Fields whose basis is the class shape's
-    carried onto their cell, as `assemble` builds them, share one table on
-    the shape's points `ref_pts`; any other field gets tables of its own."""
+    shape (len(orders), B, m, nq), for B classes of m members.  Fields whose
+    basis is their class shape's carried onto their cell, as `assemble`
+    builds them, share one table per class, on the shape's points `ref_pts`
+    (B, nq, 2); any other field gets tables of its own.  `polys` lists the
+    fields class by class; `h` and `offsets` are (B,) and (B, m, 2)."""
     deg = polys[0].basis.degree
-    shared = np.array([p.basis.scale == h and p.basis.degree == deg
+    hs = np.repeat(h, offsets.shape[1])
+    shared = np.array([p.basis.scale == s and p.basis.degree == deg
                        and np.array_equal(p.basis.center, o)
-                       for p, o in zip(polys, offsets)])
-    out = np.empty((len(orders),) + pts.shape[:2])
+                       for p, s, o in zip(polys, hs, offsets.reshape(-1, 2))])
+    out = np.empty((len(orders),) + pts.shape[:-1])
     if shared.any():
-        tab = CellBasis(np.zeros(2), h, deg).tables(ref_pts, orders)
-        C = np.array([p.coeffs for p, s in zip(polys, shared) if s])
-        out[:, shared] = C @ np.stack([tab[o].T for o in orders])
+        tab = CellBasis(np.zeros((len(h), 2)), h, deg).tables(ref_pts, orders)
+        dim = tab[orders[0]].shape[-1]
+        C = np.array([p.coeffs if s else np.zeros(dim)
+                      for p, s in zip(polys, shared)])
+        out[...] = (C.reshape(offsets.shape[:2] + (dim,))
+                    @ np.stack([tr(tab[o]) for o in orders]))
+    flat = out.reshape(len(orders), -1, pts.shape[-2])
     for i in np.flatnonzero(~shared):
-        tab = polys[i].basis.tables(pts[i], orders)
-        out[:, i] = [tab[o] @ polys[i].coeffs for o in orders]
+        tab = polys[i].basis.tables(pts.reshape(flat.shape[1:] + (2,))[i],
+                                    orders)
+        flat[:, i] = [tab[o] @ polys[i].coeffs for o in orders]
     return out
 
 
@@ -220,10 +230,12 @@ def error_norms(mesh, fld, case, k, dofs=0,
                 assembly_time=0.0, solve_time=0.0) -> ErrorReport:
     """Relative broken-Hessian and L^2 errors of a reconstructed field.
 
-    Works one translation class of cells (see `translation_classes`) at a
-    time: the class shares one cell rule, built on its `CellShape`, the
-    exact solution is sampled once on the points of all its members, and the
-    fields whose basis sits on that shape share one basis table.
+    Works one batch of translation classes of cells (see
+    `translation_classes` and `shape_batches`) at a time: the batch shares
+    one stacked cell rule, built on the `CellShape` of its classes, the exact
+    solution is sampled once on the points of all its members, and the
+    fields whose basis sits on their class shape share one basis table per
+    class.
     """
     deg = cell_degree(k) + ERROR_EXTRA_DEGREE
     orders = [(0, 0), (2, 0), (1, 1), (0, 2)]
@@ -231,23 +243,29 @@ def error_norms(mesh, fld, case, k, dofs=0,
     e_l2 = np.zeros(mesh.n_cells)
     n_h2 = np.zeros(mesh.n_cells)
     n_l2 = np.zeros(mesh.n_cells)
-    for members in class_members(translation_classes(mesh)):
-        shape = CellShape(mesh, members[0])
-        rule = cell_rule(shape, 0, deg)
-        h, w = shape.cell_diameter[0], rule.weights
+    classes = class_members(translation_classes(mesh))
+    for batch in shape_batches(mesh, classes):
+        members = np.array([classes[i] for i in batch])
+        shape = CellShape(mesh, members[:, 0])
+        rule = cell_rule(shape, np.arange(len(batch)), deg)
+        w = rule.weights[:, :, None]
         offsets = shape.offsets(mesh, members)
-        pts = rule.points[None] + offsets[:, None]
-        flat, (m, nq) = pts.reshape(-1, 2), pts.shape[:2]
-        uex = np.asarray(case.u(flat), dtype=np.float64).reshape(m, nq)
-        hex_ = np.asarray(case.hess(flat), dtype=np.float64).reshape(m, nq, 3)
-        vals, hxx, hxy, hyy = _field_values([fld[c] for c in members], pts,
-                                            rule.points, h, offsets, orders)
-        e_l2[members] = (vals - uex) ** 2 @ w
-        n_l2[members] = uex ** 2 @ w
-        e_h2[members] = ((hxx - hex_[..., 0]) ** 2 + 2 * (hxy - hex_[..., 1]) ** 2
-                         + (hyy - hex_[..., 2]) ** 2) @ w
-        n_h2[members] = (hex_[..., 0] ** 2 + 2 * hex_[..., 1] ** 2
-                         + hex_[..., 2] ** 2) @ w
+        pts = rule.points[:, None] + offsets[:, :, None]
+        flat = pts.reshape(-1, 2)
+        uex = np.asarray(case.u(flat), dtype=np.float64).reshape(pts.shape[:-1])
+        hex_ = np.asarray(case.hess(flat), dtype=np.float64).reshape(
+            pts.shape[:-1] + (3,))
+        vals, hxx, hxy, hyy = _field_values([fld[c] for c in members.ravel()],
+                                            pts, rule.points,
+                                            shape.cell_diameter, offsets,
+                                            orders)
+        e_l2[members] = ((vals - uex) ** 2 @ w)[..., 0]
+        n_l2[members] = (uex ** 2 @ w)[..., 0]
+        e_h2[members] = (((hxx - hex_[..., 0]) ** 2
+                          + 2 * (hxy - hex_[..., 1]) ** 2
+                          + (hyy - hex_[..., 2]) ** 2) @ w)[..., 0]
+        n_h2[members] = ((hex_[..., 0] ** 2 + 2 * hex_[..., 1] ** 2
+                          + hex_[..., 2] ** 2) @ w)[..., 0]
     h2_den = np.sqrt(np.sum(n_h2))
     l2_den = np.sqrt(np.sum(n_l2))
     return ErrorReport(

@@ -114,6 +114,19 @@ class TestDofMap:
         dm = DofMap.create(m, "A", 1, "strong")
         assert dm.n_dofs == 0
 
+    @pytest.mark.parametrize("bc", ["strong", "nitsche"])
+    def test_offsets_follow_interior_faces(self, vor16, bc):
+        # The numbering of a loop over the interior faces in order.
+        dm = DofMap.create(vor16, "B", 1, bc)
+        expected = np.full(vor16.n_faces, -1, dtype=np.int64)
+        pos = 0
+        for f in vor16.interior_faces():
+            expected[f] = pos
+            pos += dm.dofs_per_interface
+        assert np.array_equal(dm.face_offset, expected)
+        assert dm.face_offset.dtype == expected.dtype
+        assert dm.n_dofs == pos
+
 
 class TestAssembleStructure:
     def test_exact_symmetry(self, vor16):
@@ -194,20 +207,21 @@ class TestDenseSchurOracle:
                                             monkeypatch):
         import hhobiharm.assembly as assembly_mod
 
-        calls = []
+        built = []
 
         def counting(mesh, c, **kw):
-            calls.append(c)
+            built.extend(np.atleast_1d(c).tolist())
             return build_local_matrices(mesh, c, **kw)
 
         monkeypatch.setattr(assembly_mod, "build_local_matrices", counting)
         mesh = rect43_flipped
         assemble(mesh, "A", 1, bc, f=hb.get_case("2").f)
         # One build for the single class; in Nitsche mode each of the ten
-        # boundary cells builds its own.
+        # boundary cells builds its own.  A stacked call builds one class
+        # per shape it is given.
         on_boundary = len(set(mesh.face_cells[mesh.boundary_faces(), 0]))
         assert on_boundary == 10
-        assert len(calls) == (1 if bc == "strong" else 1 + on_boundary)
+        assert len(built) == (1 if bc == "strong" else 1 + on_boundary)
 
     @pytest.mark.parametrize("bc", ["strong", "nitsche"])
     def test_operators_built_only_on_class_shapes(self, vor16, bc,
@@ -217,15 +231,19 @@ class TestDenseSchurOracle:
         calls = []
 
         def recording(geom, c, **kw):
-            calls.append((type(geom), c))
+            calls.append((type(geom), np.atleast_1d(c).tolist(),
+                          geom.n_cells))
             return build_local_matrices(geom, c, **kw)
 
         monkeypatch.setattr(assembly_mod, "build_local_matrices", recording)
         case = hb.get_case("2")
         assemble(vor16, "A", 1, bc, f=case.f,
                  bdata=BoundaryData.from_case(case))
-        # Every Voronoi cell is a class of one, built on its shape.
-        assert calls == [(CellShape, 0)] * vor16.n_cells
+        # Every Voronoi cell is a class of one, built once, on its shape:
+        # each call builds every shape of a stack of CellShapes.
+        assert all(kind is CellShape and ids == list(range(n))
+                   for kind, ids, n in calls)
+        assert sum(n for _, _, n in calls) == vor16.n_cells
 
     # The Nitsche inputs cover classes of one whose boundary data is
     # evaluated at translated points: every vor16 cell, and the ten boundary

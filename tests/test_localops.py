@@ -3,18 +3,20 @@ import pytest
 import scipy.linalg as sla
 
 import hhobiharm as hb
+from hhobiharm.assembly import BoundaryData, assemble
 from hhobiharm.common import ConfigError
 from hhobiharm.localops import (_CellWork, build_local_matrices,
                                 build_reconstruction, build_seminorm_gram,
                                 build_stabilization, elliptic_projection_oracle,
                                 local_seminorm, make_layout, reduce_cell,
                                 rigid_modes, space_degrees)
-from hhobiharm.mesh import CellShape
+from hhobiharm.mesh import CellShape, shape_batches
 from hhobiharm.polyspace import (FACE_ORDERS_2, FACE_ORDERS_3, CellBasis,
                                  FaceBasis, face_derivatives, project_cell,
                                  space_dim)
 from hhobiharm.quadrature import (BC_EXTRA_DEGREE, cell_rule, face_degree,
                                   face_rule)
+from hhobiharm.solving import error_norms, reconstruct_field
 
 from conftest import random_smooth_family
 
@@ -430,6 +432,82 @@ class TestStackedFaceTables:
             for a, ref in enumerate(self.per_face(mesh, c, k)):
                 for name, table in ref.items():
                     assert np.array_equal(getattr(work, name)[a], table), name
+
+
+# Two nonconvex pentagons, taken by ear-clipping, beside two convex ones:
+# the four cells share a vertex count but not a sub-triangle count.
+DENTED = hb.Mesh.from_cell_loops(
+    [[0, 0], [1, 0], [1, 1], [0.5, 0.2], [0, 1], [1, 2], [0, 2], [2, 0],
+     [2, 1], [1.5, 0.3], [2, 2]],
+    [[0, 1, 2, 3, 4], [4, 3, 2, 5, 6], [1, 7, 8, 9, 2], [2, 9, 8, 10, 5]])
+
+
+class TestBatchedBuild:
+    """A stack of class shapes built at once carries, cell by cell, the bits
+    of the same shapes built one at a time."""
+
+    OPS = ("R", "G", "S", "A", "lifting", "load_boundary")
+
+    @staticmethod
+    def batches(mesh, nitsche):
+        bare = None
+        if nitsche:
+            bare = [tuple(mesh.is_boundary_face[mesh.cell_faces[c]])
+                    for c in range(mesh.n_cells)]
+        return shape_batches(mesh, [[c] for c in range(mesh.n_cells)], bare)
+
+    def check(self, mesh, variant, k, nitsche):
+        bdata = BoundaryData.from_case(hb.get_case("2")) if nitsche else None
+        for cells in self.batches(mesh, nitsche):
+            shape = CellShape(mesh, cells)
+            ops = build_local_matrices(shape, np.arange(len(cells)), variant,
+                                       k, nitsche=nitsche, bdata=bdata)
+            for i, c in enumerate(cells):
+                one = build_local_matrices(CellShape(mesh, c), 0, variant, k,
+                                           nitsche=nitsche, bdata=bdata)
+                for name in self.OPS:
+                    got, ref = getattr(ops, name), getattr(one, name)
+                    assert (got is None) == (ref is None), name
+                    assert ref is None or np.array_equal(got[i], ref), name
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("variant,nitsche", [
+        ("A", False), ("B", False), ("C", False), ("A", True), ("B", True)])
+    def test_stack_equals_one_at_a_time(self, vor64, variant, k, nitsche):
+        assert max(len(b) for b in self.batches(vor64, nitsche)) > 1
+        self.check(vor64, variant, k, nitsche)
+
+    @pytest.mark.parametrize("variant,nitsche", [
+        ("A", False), ("C", False), ("B", True)])
+    def test_ear_clipped_cells_stack_apart_from_fans(self, variant, nitsche):
+        ntri = [len(hb.subtriangulate(DENTED, c)) for c in range(4)]
+        assert ntri == [3, 5, 3, 5]
+        if not nitsche:
+            assert [b.tolist() for b in self.batches(DENTED, False)] == [
+                [0, 2], [1, 3]]
+        self.check(DENTED, variant, 2, nitsche)
+
+    @pytest.mark.parametrize("variant,bc", [("A", "strong"), ("C", "strong"),
+                                            ("B", "nitsche")])
+    def test_batch_size_changes_no_bits(self, vor64, variant, bc,
+                                        monkeypatch):
+        import hhobiharm.mesh as mesh_mod
+
+        case = hb.get_case("2")
+        runs = []
+        for size in (mesh_mod._BATCH, 1):
+            monkeypatch.setattr(mesh_mod, "_BATCH", size)
+            sys_ = assemble(vor64, variant, 2, bc, f=case.f,
+                            bdata=BoundaryData.from_case(case))
+            fld = reconstruct_field(sys_, hb.solve(sys_))
+            runs.append((sys_, error_norms(vor64, fld, case, 2)))
+        (big, rep_big), (one, rep_one) = runs
+        assert len(big.classes) < len(one.classes) == vor64.n_cells
+        assert np.array_equal(big.matrix.indptr, one.matrix.indptr)
+        assert np.array_equal(big.matrix.indices, one.matrix.indices)
+        assert np.array_equal(big.matrix.data, one.matrix.data)
+        assert np.array_equal(big.rhs, one.rhs)
+        assert rep_big == rep_one
 
 
 class TestNitscheOps:

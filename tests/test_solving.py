@@ -103,11 +103,13 @@ class TestReconstructField:
         sol = recover_cells(sys_, x)
         fld = reconstruct_field(sys_, sol)
         for c in range(rect22.n_cells):
+            # The cell's batch of classes, and its class in the batch.
             rec = sys_.classes[sys_.labels[c]]
+            cls, _ = np.argwhere(rec.members == c)[0]
             local = sol.local_vector(c)
-            expected = rec.R @ local
+            expected = rec.R[cls] @ local
             if bc == "nitsche":
-                expected = expected + rec.lifting
+                expected = expected + rec.lifting[cls]
             assert np.allclose(fld[c].coeffs, expected, atol=1e-14)
 
 
