@@ -318,14 +318,11 @@ def _class_contribution(mesh, members, shape, loc, f_load, fixed_table,
         b += ops.load_boundary[:, None]
 
     face, block, power = _rest_map(lay)
-    cells = members.ravel()
-    faces = np.array([mesh.cell_faces[c] for c in cells])[:, face]
-    sign = np.array([mesh.cell_signs[c] for c in cells],
-                    dtype=np.float64)[:, face] ** power
-    # Per class, the layout of a (m, n_rest) fancy-indexed table, which the
-    # products below read.
-    faces, sign = (by_columns(x.reshape(members.shape + (-1,)))
-                   for x in (faces, sign))
+    rows = mesh.cell_rows(members)
+    # Per class, an (m, n_rest) table stored column by column, the layout
+    # that the products below read.
+    faces = by_columns(rows.faces[..., face])
+    sign = by_columns(rows.signs[..., face].astype(np.float64) ** power)
     start = dofmap.face_offset[faces]
     unk = start >= 0
     gidx = np.where(unk, start + block, -1)
@@ -394,7 +391,7 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
     members = class_members(labels)
     bare = None
     if nitsche:     # the boundary faces of a class carry no unknowns
-        bare = [tuple(mesh.is_boundary_face[mesh.cell_faces[m[0]]])
+        bare = [tuple(mesh.is_boundary_face[mesh.cell_rows(m[0]).faces])
                 for m in members]
     triples, loads = [None] * len(members), [None] * len(members)
     classes, batch_of = [], np.empty(mesh.n_cells, dtype=np.int64)

@@ -21,9 +21,10 @@ Local vectors are ordered [cell | face traces in loop order | face normals in
 loop order].  All builders are pure functions of (mesh, cell, config) that
 read only the geometry of that one cell, so they also accept a `CellShape`,
 which is how assembly calls them: once per translation class of cells, in
-the loop frame of the class shape.  Given an array of the cells of a
-`CellShape`, they build all of them at once, stacked along a leading cell
-axis, with the bits of one cell at a time.
+the loop frame of the class shape.  Given an array of cells of one vertex
+count, of a `Mesh` or a `CellShape` (whose rows `cell_rows` gathers), they
+build all of them at once, stacked along a leading cell axis, with the bits
+of one cell at a time.
 """
 
 from dataclasses import dataclass
@@ -103,7 +104,7 @@ def make_layout(mesh: Mesh, cell_id, variant: str, k: int,
     if nitsche and variant == "C":
         raise ConfigError("the Nitsche mode is only available for variants A and B")
     cell_deg, trace_deg, normal_deg = space_degrees(variant, k)
-    bare = nitsche & mesh.is_boundary_face[mesh.cell_faces[cell_id]]
+    bare = nitsche & mesh.is_boundary_face[mesh.cell_rows(cell_id).faces]
     bare = bare.reshape(-1, bare.shape[-1])
     if np.any(bare != bare[0]):
         raise ConfigError("the cells of a stack must share their layout")
@@ -117,7 +118,7 @@ def make_layout(mesh: Mesh, cell_id, variant: str, k: int,
 class LocalOperators:
     """All per-cell matrices of the method (see the module docstring); for a
     stack of cells, with a leading cell axis on every array and basis."""
-    cell_id: object                   # int, or an array of CellShape cells
+    cell_id: object                   # int, or an array of cells
     layout: LocalDofLayout
     rec_basis: CellBasis
     R: np.ndarray                     # (rec_dim, n) reconstruction coefficients
@@ -140,12 +141,12 @@ class _CellWork:
     face axis, which adds them in loop order, so every operator has the bits
     of a face-by-face sum.
 
-    `cell_id` is one cell, or an array of cell ids of a `CellShape` whose
-    cells share the vertex count, the sub-triangle count and the layout (see
-    `shape_batches`).  An array puts a leading cell axis in front of every
-    table and operator: the builders are written on (..., n, n) stacks, so
-    one cell keeps its shapes, and each cell of a stack has the bits of the
-    same cell built alone.
+    `cell_id` is one cell, or an array of the ids of cells of a `Mesh` or a
+    `CellShape` that share the vertex count, the sub-triangle count and the
+    layout (see `shape_batches`).  An array puts a leading cell axis in front
+    of every table and operator: the builders are written on (..., n, n)
+    stacks, so one cell keeps its shapes, and each cell of a stack has the
+    bits of the same cell built alone.
     """
 
     def __init__(self, mesh, cell_id, variant, k, nitsche=False):
@@ -187,7 +188,7 @@ class _CellWork:
         self.saddle[..., r:, :r] = M3
 
         self.mesh = mesh
-        self.faces = mesh.cell_faces[cell_id]
+        self.faces, signs, _ = mesh.cell_rows(cell_id)
         self.active = np.flatnonzero(self.layout.trace_dims)
         self.boundary = np.flatnonzero(np.equal(self.layout.trace_dims, 0))
         # Width of an active face's trace and normal blocks; the normal
@@ -200,8 +201,7 @@ class _CellWork:
         self.embed[:self.cell_dim, :self.cell_dim] = np.eye(self.cell_dim)
         rule = face_rule(mesh, self.faces, face_degree(k))
         self.w = rule.weights
-        self.n = (mesh.cell_signs[cell_id][..., None]
-                  * mesh.face_normal[self.faces])
+        self.n = signs[..., None] * mesh.face_normal[self.faces]
         self.t = mesh.face_tangent[self.faces]
 
         # The third orders feed d_n(Laplacian), which vanishes on P^2 (k = 0).
@@ -508,8 +508,8 @@ def build_seminorm_gram(mesh, cell_id, variant="A", k=1,
 def build_local_matrices(mesh, cell_id, variant="A", k=1, scaling="k2-all",
                          nitsche=False, bdata=None,
                          check_kernel=True) -> LocalOperators:
-    """Build all local matrices of one cell, or of a stack of cells of a
-    `CellShape` (see `_CellWork`), stacked along a leading cell axis.
+    """Build all local matrices of one cell, or of a stack of cells of one
+    vertex count (see `_CellWork`), stacked along a leading cell axis.
 
     With `check_kernel`, verifies that ker(A) has dimension exactly 3 (the
     affine modes), or 0 on Nitsche cells touching the boundary; a mismatch

@@ -1,10 +1,11 @@
 """Polygonal meshes of (0,1)^2: data model, generators, JSON IO, validation.
 
-Cells are simple polygons stored as counterclockwise loops of faces.  Every
-face is a straight segment shared by one (boundary) or two (interface) cells
-and carries a fixed unit normal; boundary faces are oriented so their normal
-points out of the domain.  The per-cell signs sigma = n_F . n_K recover the
-outward normal of each cell from the stored face normal.
+Cells are simple polygons stored as counterclockwise loops of faces, in one
+CSR table of flat arrays (see `_Cells`).  Every face is a straight segment
+shared by one (boundary) or two (interface) cells and carries a fixed unit
+normal; boundary faces are oriented so their normal points out of the
+domain.  The per-cell signs sigma = n_F . n_K recover the outward normal of
+each cell from the stored face normal.
 
 The areas and centroids of all polygons come from one flattened shoelace
 pass, `_polygon_moments`, used by mesh construction, the Voronoi generator
@@ -14,7 +15,10 @@ Meshes are immutable after construction and safe for concurrent reads.
 """
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
@@ -65,34 +69,24 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _loop_from_faces(face_vertices, face_ids, cell_id):
-    """Chain an ordered face list into a closed vertex loop."""
-    m = len(face_ids)
-    if m < 3:
-        raise MeshFormatError(f"cell {cell_id}: fewer than 3 faces")
-    pairs = [tuple(face_vertices[f]) for f in face_ids]
-    first, second = set(pairs[0]), set(pairs[1])
-    shared = first & second
-    if len(shared) != 1:
-        raise MeshFormatError(f"cell {cell_id}: cell boundary not closed "
-                              f"(faces {face_ids[0]} and {face_ids[1]} share "
-                              f"{len(shared)} vertices)")
-    start = (first - shared).pop()
-    loop = [start]
-    cur = start
-    for pos, (a, b) in enumerate(pairs):
-        if cur == a:
-            nxt = b
-        elif cur == b:
-            nxt = a
-        else:
-            raise MeshFormatError(f"cell {cell_id}: cell boundary not closed "
-                                  f"(face {face_ids[pos]} does not continue the loop)")
-        loop.append(nxt)
-        cur = nxt
-    if loop[-1] != start:
-        raise MeshFormatError(f"cell {cell_id}: cell boundary not closed")
-    return np.array(loop[:-1], dtype=np.int64)
+def _csr(rows):
+    """CSR form (ptr, flat ids) of a sequence of integer sequences."""
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=ptr[1:])
+    flat = np.array(list(chain.from_iterable(rows)))
+    if flat.size and (flat.ndim != 1 or flat.dtype.kind not in "iu"):
+        raise MeshFormatError("id lists must hold integers")
+    return ptr, flat.astype(np.int64)
+
+
+def _positions(ptr):
+    """Cell of each flat position of a CSR table, and the positions of the
+    previous and the next entry of the same cell, cyclically."""
+    counts = np.diff(ptr)
+    cell = np.repeat(np.arange(len(counts)), counts)
+    pos = np.arange(ptr[-1])
+    start, m = ptr[cell], counts[cell]
+    return cell, start + (pos - start - 1) % m, start + (pos - start + 1) % m
 
 
 def _polygon_moments(points, loops):
@@ -106,10 +100,8 @@ def _polygon_moments(points, loops):
     """
     counts = np.array([len(loop) for loop in loops], dtype=np.int64)
     idx = np.concatenate(loops or [np.zeros(0, np.int64)])
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    nxt = np.arange(1, len(idx) + 1)
-    nxt[ends - 1] = starts
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    starts, nxt = ptr[:-1], _positions(ptr)[2]
     first = points[idx[starts]]
     rel = points[idx] - np.repeat(first, counts, axis=0)
     x, y = rel.T
@@ -122,10 +114,67 @@ def _polygon_moments(points, loops):
     return area, first + np.column_stack([cx, cy])
 
 
-class Mesh:
-    """Conforming polygonal mesh (struct-of-arrays storage, immutable)."""
+CellRows = namedtuple("CellRows", "faces signs loops")
+
+
+class _Cells:
+    """Cell topology in CSR form, shared by `Mesh` and `CellShape`: cell c
+    owns the flat positions cell_ptr[c], ..., cell_ptr[c+1] - 1 of
+    `cell_face` (its faces in loop order), `cell_face_sign` (sigma = n_F . n_K
+    of each) and `cell_loop` (its vertices; face i runs from loop vertex i to
+    loop vertex i+1).  `cell_rows` is the one gather of dense rows, and the
+    tuples `cell_faces`, `cell_signs` and `cell_loops` hold read-only
+    per-cell views for per-cell callers."""
+
+    n_cells = property(lambda self: len(self.cell_ptr) - 1)
+    cell_faces = cached_property(lambda self: self._views(self.cell_face))
+    cell_signs = cached_property(lambda self: self._views(self.cell_face_sign))
+    cell_loops = cached_property(lambda self: self._views(self.cell_loop))
+
+    def cell_rows(self, cells) -> CellRows:
+        """Faces, signs and loops of one cell, or of an array of cells of one
+        vertex count nv, as arrays of shape np.shape(cells) + (nv,)."""
+        idx = self._row_index(cells)
+        return CellRows(self.cell_face[idx], self.cell_face_sign[idx],
+                        self.cell_loop[idx])
+
+    def cell_polygon(self, c) -> np.ndarray:
+        return self.vertices[self.cell_loop[self._row_index(c)]]
+
+    def _row_index(self, cells):
+        start = self.cell_ptr[cells]
+        size = self.cell_ptr[np.add(cells, 1)] - start
+        nv = size.max()
+        if size.min() != nv:
+            raise MeshError("the cells of a row gather must share their "
+                            "vertex count")
+        return start[..., None] + np.arange(nv)
+
+    def _views(self, flat):
+        bounds = zip(self.cell_ptr[:-1].tolist(), self.cell_ptr[1:].tolist())
+        return tuple(flat[a:b] for a, b in bounds)
+
+
+class Mesh(_Cells):
+    """Conforming polygonal mesh (struct-of-arrays storage, immutable).
+
+    Vertices and faces are (n, 2) arrays, and the cell topology is one CSR
+    table of flat arrays (see `_Cells`), built in one vectorized pass.  The
+    constructor takes each cell's face ids in loop order and, optionally,
+    the signs they must have (`given_signs`, as `save_mesh` stores them).
+    """
 
     def __init__(self, vertices, face_vertices, cell_faces, given_signs=None):
+        self._build(vertices, face_vertices, *_csr(cell_faces),
+                    None if given_signs is None else _csr(given_signs))
+
+    @classmethod
+    def _from_csr(cls, vertices, face_vertices, cell_ptr, cell_face):
+        mesh = cls.__new__(cls)
+        mesh._build(vertices, face_vertices, cell_ptr, cell_face)
+        return mesh
+
+    def _build(self, vertices, face_vertices, ptr, cf, given_signs=None):
         vertices = np.asarray(vertices, dtype=np.float64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshFormatError("vertices must be an (n, 2) array")
@@ -135,64 +184,75 @@ class Mesh:
         if face_vertices.ndim != 2 or face_vertices.shape[1] != 2:
             raise MeshFormatError("faces must be an (n, 2) index array")
 
-        nv, nf, nc = len(vertices), len(face_vertices), len(cell_faces)
+        nv, nf, nc = len(vertices), len(face_vertices), len(ptr) - 1
         if nf and (face_vertices.min() < 0 or face_vertices.max() >= nv):
             raise MeshFormatError("face references an unknown vertex")
 
         # Face adjacency from the cell face lists.
-        face_cells = [[] for _ in range(nf)]
-        for c, faces in enumerate(cell_faces):
-            for f in faces:
-                if f < 0 or f >= nf:
-                    raise MeshFormatError(f"cell {c}: face adjacency "
-                                          f"(unknown face id {f})")
-                face_cells[f].append(c)
-        for f, adj in enumerate(face_cells):
-            if len(adj) not in (1, 2):
-                raise MeshFormatError(f"face {f}: face adjacency "
-                                      f"({len(adj)} incident cells, expected 1 or 2)")
+        cell, prev, nxt = _positions(ptr)
+        bad = np.flatnonzero((cf < 0) | (cf >= nf))
+        if len(bad):
+            raise MeshFormatError(f"cell {cell[bad[0]]}: face adjacency "
+                                  f"(unknown face id {cf[bad[0]]})")
+        count = np.bincount(cf, minlength=nf)
+        bad = np.flatnonzero((count < 1) | (count > 2))
+        if len(bad):
+            raise MeshFormatError(f"face {bad[0]}: face adjacency "
+                                  f"({count[bad[0]]} incident cells, "
+                                  f"expected 1 or 2)")
 
-        # Vertex loops, orientation, and signs.
-        loops = [_loop_from_faces(face_vertices, faces, c)
-                 for c, faces in enumerate(cell_faces)]
-        self.cell_area, self.cell_centroid = _polygon_moments(vertices, loops)
+        # Loop vertex i is the one vertex that faces i-1 and i share; each
+        # face must end where the next one starts.
+        a, b = face_vertices[cf].T
+        pa, pb = face_vertices[cf[prev]].T
+        a_in, b_in = (a == pa) | (a == pb), (b == pa) | (b == pb)
+        loop = np.where(a_in, a, b)
+        broken = (a_in & b_in & (a != b)) | (np.where(a_in, b, a) != loop[nxt])
+        sizes = np.diff(ptr)
+        short = sizes < 3
+        faulty = short | (np.bincount(cell[broken], minlength=nc) > 0)
+        if faulty.any():
+            c = np.argmax(faulty)
+            if short[c]:
+                raise MeshFormatError(f"cell {c}: fewer than 3 faces")
+            p = ptr[c] + np.argmax(broken[ptr[c]:ptr[c + 1]])
+            raise MeshFormatError(f"cell {c}: cell boundary not closed "
+                                  f"(face {cf[p]} does not continue the loop)")
+        self.cell_ptr, self.cell_face, self.cell_loop = ptr, cf, loop
+        self.cell_area, self.cell_centroid = _polygon_moments(vertices,
+                                                              self.cell_loops)
         bad = np.flatnonzero(~(self.cell_area > 0))
         if len(bad):
             raise MeshFormatError(f"cell {bad[0]}: face loop is not "
                                   f"counterclockwise or encloses no area")
-        signs = []
-        for loop, faces in zip(loops, cell_faces):
-            sgn = []
-            cur = loop[0]
-            for f in faces:
-                a, b = face_vertices[f]
-                sgn.append(1 if a == cur else -1)
-                cur = b if a == cur else a
-            signs.append(np.array(sgn, dtype=np.int64))
+        sign = np.where(a == loop, 1, -1)
 
-        if given_signs is not None:
-            for c, (got, exp) in enumerate(zip(given_signs, signs)):
-                if list(got) != list(exp):
-                    raise MeshFormatError(f"cell {c}: stored face signs disagree "
-                                          f"with geometry")
+        if given_signs is not None and not (
+                np.array_equal(given_signs[0], ptr)
+                and np.array_equal(given_signs[1], sign)):
+            gptr, gsign = given_signs
+            c = next((c for c in range(nc) if c + 1 >= len(gptr) or not
+                      np.array_equal(gsign[gptr[c]:gptr[c + 1]],
+                                     sign[ptr[c]:ptr[c + 1]])), nc)
+            raise MeshFormatError(f"cell {c}: stored face signs disagree "
+                                  f"with geometry")
 
         # Normalize boundary faces to point outward (n_F = n on the boundary).
-        for f, adj in enumerate(face_cells):
-            if len(adj) == 1:
-                c = adj[0]
-                pos = list(cell_faces[c]).index(f)
-                if signs[c][pos] == -1:
-                    face_vertices[f] = face_vertices[f][::-1]
-                    signs[c][pos] = 1
+        flip = (count[cf] == 1) & (sign < 0)
+        face_vertices[cf[flip]] = face_vertices[cf[flip], ::-1]
+        sign[flip] = 1
+        self.cell_face_sign = sign
+
+        # The cells of each face in ascending order, -1 for none.
+        order = np.argsort(cf, kind="stable")
+        first = np.cumsum(count) - count
+        self.face_cells = np.full((nf, 2), -1, dtype=np.int64)
+        self.face_cells[:, 0] = cell[order[first]]
+        two = count == 2
+        self.face_cells[two, 1] = cell[order[first[two] + 1]]
 
         self.vertices = vertices
         self.face_vertices = face_vertices
-        self.face_cells = np.full((nf, 2), -1, dtype=np.int64)
-        for f, adj in enumerate(face_cells):
-            self.face_cells[f, :len(adj)] = adj
-        self.cell_faces = [np.array(fs, dtype=np.int64) for fs in cell_faces]
-        self.cell_signs = signs
-        self.cell_loops = loops
 
         # Derived geometry.
         p0 = vertices[face_vertices[:, 0]]
@@ -207,16 +267,20 @@ class Mesh:
         self.face_midpoint = 0.5 * (p0 + p1)
         self.is_boundary_face = self.face_cells[:, 1] < 0
 
+        # Diameters, one vertex-count group at a time.
         self.cell_diameter = np.empty(nc)
-        for c, loop in enumerate(loops):
-            pts = vertices[loop]
-            d = pts[:, None, :] - pts[None, :, :]
-            self.cell_diameter[c] = np.sqrt((d ** 2).sum(axis=2).max())
+        for m in np.unique(sizes):
+            ids = np.flatnonzero(sizes == m)
+            pts = self.cell_polygon(ids)
+            d = pts[:, :, None, :] - pts[:, None, :, :]
+            self.cell_diameter[ids] = np.sqrt(
+                (d ** 2).sum(axis=-1).max(axis=(1, 2)))
 
         for arr in (self.vertices, self.face_vertices, self.face_cells,
                     self.face_length, self.face_tangent, self.face_normal,
                     self.face_midpoint, self.cell_centroid, self.cell_area,
-                    self.cell_diameter):
+                    self.cell_diameter, self.cell_ptr, self.cell_face,
+                    self.cell_face_sign, self.cell_loop):
             arr.flags.writeable = False
 
     # -- basic queries ------------------------------------------------------
@@ -230,10 +294,6 @@ class Mesh:
         return len(self.face_vertices)
 
     @property
-    def n_cells(self):
-        return len(self.cell_faces)
-
-    @property
     def h_max(self):
         return float(self.cell_diameter.max())
 
@@ -242,9 +302,6 @@ class Mesh:
 
     def interior_faces(self):
         return np.nonzero(~self.is_boundary_face)[0]
-
-    def cell_polygon(self, c: int) -> np.ndarray:
-        return self.vertices[self.cell_loops[c]]
 
     def cell_sign(self, c: int, f: int) -> int:
         pos = np.nonzero(self.cell_faces[c] == f)[0]
@@ -266,9 +323,8 @@ class Mesh:
             return NotImplemented
         return (np.array_equal(self.vertices, other.vertices)
                 and np.array_equal(self.face_vertices, other.face_vertices)
-                and len(self.cell_faces) == len(other.cell_faces)
-                and all(np.array_equal(a, b) for a, b in
-                        zip(self.cell_faces, other.cell_faces)))
+                and np.array_equal(self.cell_ptr, other.cell_ptr)
+                and np.array_equal(self.cell_face, other.cell_face))
 
     def __repr__(self):
         return (f"Mesh({self.n_vertices} vertices, {self.n_faces} faces, "
@@ -280,28 +336,26 @@ class Mesh:
     def from_cell_loops(vertices, loops):
         """Build a mesh from per-cell counterclockwise vertex loops.
 
-        Faces are derived as the unique vertex pairs; each face keeps the
-        orientation given by the first cell that traverses it.
+        Faces are the unique vertex pairs, numbered in order of first
+        appearance; each face keeps the orientation given by the first cell
+        that traverses it.
         """
-        face_index = {}
-        face_vertices = []
-        cell_faces = []
-        for loop in loops:
-            loop = list(loop)
-            fs = []
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                key = (a, b) if a < b else (b, a)
-                f = face_index.get(key)
-                if f is None:
-                    f = len(face_vertices)
-                    face_index[key] = f
-                    face_vertices.append((a, b))
-                fs.append(f)
-            cell_faces.append(fs)
-        return Mesh(vertices, np.array(face_vertices, dtype=np.int64), cell_faces)
+        vertices = np.asarray(vertices, dtype=np.float64)
+        ptr, a = _csr(loops)
+        if len(a) and (a.min() < 0 or a.max() >= len(vertices)):
+            raise MeshFormatError("face references an unknown vertex")
+        b = a[_positions(ptr)[2]]
+        key = np.minimum(a, b) * len(vertices) + np.maximum(a, b)
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        face = np.empty_like(order)
+        face[order] = np.arange(len(order))
+        return Mesh._from_csr(vertices, np.column_stack([a, b])[first[order]],
+                              ptr, face[inverse])
 
 
-class CellShape:
+class CellShape(_Cells):
     """Mesh cells moved so that their centroids are the origin, as the cells
     0, 1, ... of a mesh of unconnected cells.
 
@@ -309,8 +363,8 @@ class CellShape:
     quadrature rules, the bases and the local operators), without the cost of
     building and checking a `Mesh`.  `cells` is one cell id, or an array of
     the ids of cells with the same vertex count, which are stacked: shape b
-    owns faces and vertices b * nv, ..., b * nv + nv - 1, and its per-cell
-    attributes are arrays, so the builders take an array of shape ids too.
+    owns faces, vertices and CSR positions b * nv, ..., b * nv + nv - 1, so
+    the builders take an array of shape ids as they take one of mesh cells.
     Face a of a shape runs from its loop vertex a to loop vertex a+1, so every
     sign is +1: this is the cell's loop frame.  The boundary flags are those
     of the cell's faces in the mesh; a boundary face is stored along the loop,
@@ -320,40 +374,31 @@ class CellShape:
 
     def __init__(self, mesh: Mesh, cells):
         cells = np.atleast_1d(cells)
-        loops = np.array([mesh.cell_loops[c] for c in cells])
-        faces = np.array([mesh.cell_faces[c] for c in cells])
-        sgn = np.array([mesh.cell_signs[c] for c in cells])[..., None]
+        faces, sgn, loops = mesh.cell_rows(cells)
+        sgn = sgn[..., None]
         verts = mesh.vertices[loops] - mesh.cell_centroid[cells][:, None]
         n, m = loops.shape
-        ids = np.arange(n * m).reshape(n, m)
-        nxt = np.roll(ids, -1, axis=1)
+        ids = np.arange(n * m)
+        nxt = np.roll(ids.reshape(n, m), -1, axis=1).ravel()
         self.vertices = verts.reshape(-1, 2)
-        self.face_vertices = np.stack([ids, nxt], axis=-1).reshape(-1, 2)
+        self.face_vertices = np.column_stack([ids, nxt])
         self.face_length = mesh.face_length[faces].ravel()
         self.face_tangent = (sgn * mesh.face_tangent[faces]).reshape(-1, 2)
         self.face_normal = (sgn * mesh.face_normal[faces]).reshape(-1, 2)
-        self.face_midpoint = 0.5 * (self.vertices + self.vertices[nxt.ravel()])
+        self.face_midpoint = 0.5 * (self.vertices + self.vertices[nxt])
         self.is_boundary_face = mesh.is_boundary_face[faces].ravel()
-        self.cell_faces = ids
-        self.cell_signs = np.ones((n, m), dtype=np.int64)
-        self.cell_loops = ids
+        self.cell_ptr = np.arange(0, n * m + 1, m)
+        self.cell_face = self.cell_loop = ids
+        self.cell_face_sign = np.ones(n * m, dtype=np.int64)
         self.cell_centroid = np.zeros((n, 2))
         self.cell_diameter = mesh.cell_diameter[cells]
-
-    @property
-    def n_cells(self):
-        return len(self.cell_loops)
-
-    def cell_polygon(self, c) -> np.ndarray:
-        return self.vertices[self.cell_loops[c]]
 
     def offsets(self, mesh: Mesh, cells) -> np.ndarray:
         """Translations that carry the shapes onto the given cells of `mesh`,
         first vertex onto first vertex: `cells` is (n_shapes, m), one row of
         cells per shape, and the result (n_shapes, m, 2)."""
-        first = np.array([mesh.cell_loops[c][0] for c in np.ravel(cells)])
-        origin = self.vertices[self.cell_loops[:, 0]]
-        return mesh.vertices[first.reshape(np.shape(cells))] - origin[:, None]
+        origin = self.vertices[self.cell_ptr[:-1]]    # loop vertex 0
+        return mesh.cell_polygon(cells)[..., 0, :] - origin[:, None]
 
 
 def translation_classes(mesh: Mesh) -> np.ndarray:
@@ -371,15 +416,15 @@ def translation_classes(mesh: Mesh) -> np.ndarray:
     """
     n = mesh.n_cells
     labels = np.full(n, -1, dtype=np.int64)
-    sizes = np.array([len(loop) for loop in mesh.cell_loops])
+    sizes = np.diff(mesh.cell_ptr)
     # Per cell: position in its vertex-count group, and the window of that
     # group's cells sorted by diameter whose diameters agree with its own.
     pos, lo, hi = (np.empty(n, dtype=np.int64) for _ in range(3))
     groups = {}
     for m in np.unique(sizes):
         ids = np.nonzero(sizes == m)[0]
-        loops = np.array([mesh.cell_loops[c] for c in ids])
-        offsets = mesh.vertices[loops] - mesh.vertices[loops[:, :1]]
+        pts = mesh.cell_polygon(ids)
+        offsets = pts - pts[:, :1]
         h = mesh.cell_diameter[ids]
         by_h = np.argsort(h, kind="stable")
         pos[ids] = np.arange(len(ids))
@@ -420,14 +465,13 @@ def shape_batches(mesh: Mesh, members: list, extra=None) -> list:
     order of their first classes.
     """
     first = np.array([cells[0] for cells in members])
-    sizes = np.array([len(mesh.cell_loops[c]) for c in first])
+    sizes = np.diff(mesh.cell_ptr)[first]
     ntri = np.ones_like(sizes)
     for n in np.unique(sizes[sizes > 3]):
         sel = np.flatnonzero(sizes == n)
-        loops = np.array([mesh.cell_loops[c] for c in first[sel]])
-        fan = _fan(mesh.vertices[loops], np.arange(1, n + 1) % n,
-                   mesh.cell_centroid[first[sel]],
-                   mesh.cell_diameter[first[sel]])
+        c = first[sel]
+        fan = _fan(mesh.cell_polygon(c), mesh.cell_centroid[c],
+                   mesh.cell_diameter[c])
         ntri[sel] = np.where(fan, n, n - 2)
     if extra is None:
         extra = [None] * len(members)
@@ -637,12 +681,11 @@ def _ear_clip(pts):
     return np.array([[pts[i] for i in t] for t in tris])
 
 
-def _fan(pts, nxt, cen, h):
+def _fan(pts, cen, h):
     """Whether polygons (..., n, 2) are strictly star-shaped with respect to
-    their centroids `cen` (..., 2), to a margin set by their diameters `h`;
-    `nxt` is the index of the next vertex of each vertex."""
+    their centroids `cen` (..., 2), to a margin set by their diameters `h`."""
     v1 = pts - cen[..., None, :]
-    v2 = pts[..., nxt, :] - cen[..., None, :]
+    v2 = np.roll(pts, -1, axis=-2) - cen[..., None, :]
     cross = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
     return cross.min(axis=-1) > 1e-12 * np.float_power(h, 2)
 
@@ -653,20 +696,19 @@ def subtriangulate(mesh: Mesh, cell_id) -> np.ndarray:
 
     Triangles are themselves; other cells get a centroid fan when star-shaped
     with respect to their centroid, and an ear-clipping triangulation
-    otherwise.  An array of the ids of cells of a `CellShape` gives their
-    submeshes stacked, (ncells, ntri, 3, 2); they must all take the same
-    kind of triangulation.
+    otherwise.  An array of the ids of cells of one vertex count, of a `Mesh`
+    or a `CellShape`, gives their submeshes stacked, (ncells, ntri, 3, 2);
+    they must all take the same kind of triangulation.
     """
     pts = mesh.cell_polygon(cell_id)
     n = pts.shape[-2]
     if n == 3:
         return pts[..., None, :, :].copy()
     cen = mesh.cell_centroid[cell_id]
-    nxt = np.arange(1, n + 1) % n
-    fan = _fan(pts, nxt, cen, mesh.cell_diameter[cell_id])
+    fan = _fan(pts, cen, mesh.cell_diameter[cell_id])
     if fan.all():
         return np.stack([np.broadcast_to(cen[..., None, :], pts.shape), pts,
-                         pts[..., nxt, :]], axis=-2)
+                         np.roll(pts, -1, axis=-2)], axis=-2)
     if fan.any():
         raise MeshError("cells of one stack need the same kind of "
                         "triangulation")
@@ -682,6 +724,8 @@ def validate(mesh: Mesh) -> ValidationReport:
 
     The shape-regularity estimate is min over sub-triangles S of
     min(r_S / h_S, h_S / h_K), with r_S the inradius and h_S the diameter.
+    The cell checks run on the flat face table, and the sub-triangles are
+    built one stacked `subtriangulate` call per vertex count and kind.
     """
     bad = []
 
@@ -695,31 +739,31 @@ def validate(mesh: Mesh) -> ValidationReport:
     counts = np.sum(mesh.face_cells >= 0, axis=1)
     for f in np.nonzero((counts < 1) | (counts > 2))[0]:
         bad.append(f"face {f}: face adjacency ({counts[f]} cells)")
-    for f in mesh.boundary_faces():
-        c = mesh.face_cells[f, 0]
-        if mesh.cell_sign(c, f) != 1:
-            bad.append(f"face {f}: boundary normal does not point outward")
+    face, sign, ptr = mesh.cell_face, mesh.cell_face_sign, mesh.cell_ptr
+    for f in np.sort(face[mesh.is_boundary_face[face] & (sign != 1)]):
+        bad.append(f"face {f}: boundary normal does not point outward")
 
+    # Cell checks, on the cells of nonzero area; face checks in loop order.
+    sizes = np.diff(ptr)
+    cell = np.repeat(np.arange(mesh.n_cells), sizes)
+    hK = mesh.cell_diameter
     area, _ = _polygon_moments(mesh.vertices, mesh.cell_loops)
-    for c in range(mesh.n_cells):
-        hK = mesh.cell_diameter[c]
-        if mesh.cell_area[c] <= 1e-12 * hK ** 2:
-            bad.append(f"cell {c}: zero or degenerate area")
-            continue
-        if abs(area[c] - mesh.cell_area[c]) > 1e-12 * hK ** 2:
-            bad.append(f"cell {c}: stored area disagrees with shoelace formula")
-        for f in mesh.cell_faces[c]:
-            if mesh.face_length[f] > hK * (1 + 1e-12):
-                bad.append(f"cell {c}: face {f} longer than the cell diameter")
-        # Signs versus geometry, on cells of at most four vertices: the
-        # outward normal has positive flux through the loop.
-        if len(mesh.cell_loops[c]) > 4:
-            continue
-        cen = mesh.cell_centroid[c]
-        for f, s in zip(mesh.cell_faces[c], mesh.cell_signs[c]):
-            out = s * mesh.face_normal[f]
-            if np.dot(out, mesh.face_midpoint[f] - cen) <= 0:
-                bad.append(f"cell {c}: sign of face {f} disagrees with geometry")
+    ok = mesh.cell_area > 1e-12 * hK ** 2
+    bad += [f"cell {c}: zero or degenerate area" for c in np.flatnonzero(~ok)]
+    moved = ok & (np.abs(area - mesh.cell_area) > 1e-12 * hK ** 2)
+    bad += [f"cell {c}: stored area disagrees with shoelace formula"
+            for c in np.flatnonzero(moved)]
+    long = ok[cell] & (mesh.face_length[face] > hK[cell] * (1 + 1e-12))
+    bad += [f"cell {c}: face {f} longer than the cell diameter"
+            for c, f in zip(cell[long], face[long])]
+    # Signs versus geometry, on cells of at most four vertices: the outward
+    # normal has positive flux through the loop.
+    out = sign[:, None] * mesh.face_normal[face]
+    gap = mesh.face_midpoint[face] - mesh.cell_centroid[cell]
+    inward = (ok[cell] & (sizes[cell] <= 4)
+              & (np.einsum("ij,ij->i", out, gap) <= 0))
+    bad += [f"cell {c}: sign of face {f} disagrees with geometry"
+            for c, f in zip(cell[inward], face[inward])]
 
     euler = mesh.n_vertices - mesh.n_faces + mesh.n_cells
     if euler != 1:
@@ -730,21 +774,30 @@ def validate(mesh: Mesh) -> ValidationReport:
         bad.append(f"cell areas sum to {total}, boundary encloses "
                    f"{mesh.domain_area()}")
 
+    tris, h_of = [], []
     try:
-        tris = [subtriangulate(mesh, c) for c in range(mesh.n_cells)]
+        for m in np.unique(sizes):
+            ids = np.flatnonzero(sizes == m)
+            fan = _fan(mesh.cell_polygon(ids), mesh.cell_centroid[ids],
+                       hK[ids])
+            for part in (ids[fan], ids[~fan]):
+                if len(part):
+                    t = subtriangulate(mesh, part)
+                    tris.append(t.reshape(-1, 3, 2))
+                    h_of.append(np.repeat(hK[part], t.shape[1]))
     except MeshError as err:
         bad.append(f"sub-triangulation failed: {err}")
         return ValidationReport(bad, 0.0)
     if not tris:
         return ValidationReport(bad, float("inf"))
-    hK = np.repeat(mesh.cell_diameter, [len(t) for t in tris])
     t = np.concatenate(tris)
     e = np.linalg.norm(t - t[:, [1, 2, 0]], axis=2)
     ab, ac = t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]
     area2 = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
     hS = e.max(axis=1)
     rS = area2 / e.sum(axis=1)   # inradius = 2*area / perimeter
-    return ValidationReport(bad, float(min(np.min(rS / hS), np.min(hS / hK))))
+    return ValidationReport(bad, float(min(np.min(rS / hS),
+                                           np.min(hS / np.concatenate(h_of)))))
 
 
 # -- IO ------------------------------------------------------------------------
@@ -752,15 +805,17 @@ def validate(mesh: Mesh) -> ValidationReport:
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the mesh in the versioned JSON format (derived data not stored)."""
+    adjacent = np.sum(mesh.face_cells >= 0, axis=1).tolist()
+    faces, signs = mesh.cell_face.tolist(), mesh.cell_face_sign.tolist()
+    bounds = zip(mesh.cell_ptr[:-1].tolist(), mesh.cell_ptr[1:].tolist())
     doc = {
         "format": MESH_FORMAT,
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "faces": [{"v": [int(a) for a in mesh.face_vertices[f]],
-                   "cells": [int(c) for c in mesh.face_cells[f] if c >= 0]}
-                  for f in range(mesh.n_faces)],
-        "cells": [{"faces": [int(f) for f in mesh.cell_faces[c]],
-                   "signs": [int(s) for s in mesh.cell_signs[c]]}
-                  for c in range(mesh.n_cells)],
+        "vertices": mesh.vertices.tolist(),
+        "faces": [{"v": v, "cells": cells[:n]} for v, cells, n in
+                  zip(mesh.face_vertices.tolist(), mesh.face_cells.tolist(),
+                      adjacent)],
+        "cells": [{"faces": faces[a:b], "signs": signs[a:b]}
+                  for a, b in bounds],
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(doc))   # the C encoder; json.dump streams in Python
@@ -785,19 +840,25 @@ def load_mesh(path) -> Mesh:
         face_cell_lists = [entry["cells"] for entry in doc["faces"]]
         cell_faces = [entry["faces"] for entry in doc["cells"]]
         cell_signs = [entry["signs"] for entry in doc["cells"]]
+        ptr, listed = _csr(face_cell_lists)
     except (KeyError, TypeError) as err:
         raise MeshFormatError(f"{path}: malformed entry ({err})") from err
-    for f, adj in enumerate(face_cell_lists):
-        if len(adj) not in (1, 2):
-            raise MeshFormatError(f"{path}: face {f}: face adjacency "
-                                  f"({len(adj)} cells listed)")
+    n = np.diff(ptr)
+    bad = np.flatnonzero((n < 1) | (n > 2))
+    if len(bad):
+        raise MeshFormatError(f"{path}: face {bad[0]}: face adjacency "
+                              f"({n[bad[0]]} cells listed)")
     mesh = Mesh(doc["vertices"], face_vertices, cell_faces, given_signs=cell_signs)
-    for f, adj in enumerate(face_cell_lists):
-        stored = sorted(adj)
-        derived = sorted(int(c) for c in mesh.face_cells[f] if c >= 0)
-        if stored != derived:
-            raise MeshFormatError(f"{path}: face {f}: face adjacency "
-                                  f"(stored {stored}, derived {derived})")
+    stored = np.column_stack([listed[ptr[:-1]],
+                              np.where(n == 2, listed[ptr[1:] - 1], -1)])
+    bad = np.flatnonzero(np.any(np.sort(stored, axis=1)
+                                != np.sort(mesh.face_cells, axis=1), axis=1))
+    if len(bad):
+        f = bad[0]
+        derived = [int(c) for c in mesh.face_cells[f] if c >= 0]
+        stored = sorted(face_cell_lists[f])
+        raise MeshFormatError(f"{path}: face {f}: face adjacency "
+                              f"(stored {stored}, derived {derived})")
     return mesh
 
 
@@ -807,4 +868,4 @@ def with_flipped_face(mesh: Mesh, face_id: int) -> Mesh:
         raise MeshError("only interior faces can be flipped")
     fv = np.array(mesh.face_vertices)
     fv[face_id] = fv[face_id][::-1]
-    return Mesh(mesh.vertices, fv, [list(fs) for fs in mesh.cell_faces])
+    return Mesh._from_csr(mesh.vertices, fv, mesh.cell_ptr, mesh.cell_face)

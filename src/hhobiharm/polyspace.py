@@ -92,8 +92,7 @@ class CellBasis:
 
     @classmethod
     def for_cell(cls, mesh: Mesh, cell_id, degree: int):
-        """Basis of one cell, or of every cell of an array of `CellShape`
-        cell ids."""
+        """Basis of one cell, or of every cell of an array of cell ids."""
         return cls(mesh.cell_centroid[cell_id], mesh.cell_diameter[cell_id],
                    degree, cell_id=cell_id)
 

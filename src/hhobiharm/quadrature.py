@@ -104,9 +104,10 @@ def cell_rule(mesh: Mesh, cell_id, degree: int) -> QuadratureRule:
 
     Exact for 2D polynomials of total degree up to `degree`; weights sum to
     the cell area.  The reference rule is mapped onto all sub-triangles at
-    once.  An array of the ids of cells of a `CellShape` gives the rules of
-    all those cells stacked along a leading cell axis: points (ncells, nq, 2)
-    and weights (ncells, nq).
+    once.  An array of the ids of cells of one vertex count and one kind of
+    sub-triangulation, of a `Mesh` or a `CellShape`, gives the rules of all
+    those cells stacked along a leading cell axis: points (ncells, nq, 2) and
+    weights (ncells, nq).
     """
     ref = triangle_rule(degree)
     tris = subtriangulate(mesh, cell_id)

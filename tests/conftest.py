@@ -15,6 +15,14 @@ import hhobiharm as hb
 # Convex pentagon used throughout the tests (counterclockwise).
 PENTAGON = [(0.1, 0.0), (0.9, 0.1), (1.0, 0.7), (0.5, 1.0), (0.0, 0.6)]
 
+# Two nonconvex pentagons, taken by ear-clipping, beside two convex ones:
+# the four cells share a vertex count but not a sub-triangle count.
+DENTED_VERTICES = [[0, 0], [1, 0], [1, 1], [0.5, 0.2], [0, 1], [1, 2], [0, 2],
+                   [2, 0], [2, 1], [1.5, 0.3], [2, 2]]
+DENTED_LOOPS = [[0, 1, 2, 3, 4], [4, 3, 2, 5, 6], [1, 7, 8, 9, 2],
+                [2, 9, 8, 10, 5]]
+DENTED = hb.Mesh.from_cell_loops(DENTED_VERTICES, DENTED_LOOPS)
+
 
 def polygon_monomial_integral(verts, a: int, b: int) -> float:
     """Exact integral of x^a y^b over a simple CCW polygon (Green's theorem)."""

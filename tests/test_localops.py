@@ -18,7 +18,7 @@ from hhobiharm.quadrature import (BC_EXTRA_DEGREE, cell_rule, face_degree,
                                   face_rule)
 from hhobiharm.solving import error_norms, reconstruct_field
 
-from conftest import random_smooth_family
+from conftest import DENTED, random_smooth_family
 
 VARIANTS = ("A", "B", "C")
 
@@ -434,14 +434,6 @@ class TestStackedFaceTables:
                     assert np.array_equal(getattr(work, name)[a], table), name
 
 
-# Two nonconvex pentagons, taken by ear-clipping, beside two convex ones:
-# the four cells share a vertex count but not a sub-triangle count.
-DENTED = hb.Mesh.from_cell_loops(
-    [[0, 0], [1, 0], [1, 1], [0.5, 0.2], [0, 1], [1, 2], [0, 2], [2, 0],
-     [2, 1], [1.5, 0.3], [2, 2]],
-    [[0, 1, 2, 3, 4], [4, 3, 2, 5, 6], [1, 7, 8, 9, 2], [2, 9, 8, 10, 5]])
-
-
 class TestBatchedBuild:
     """A stack of class shapes built at once carries, cell by cell, the bits
     of the same shapes built one at a time."""
@@ -476,6 +468,18 @@ class TestBatchedBuild:
     def test_stack_equals_one_at_a_time(self, vor64, variant, k, nitsche):
         assert max(len(b) for b in self.batches(vor64, nitsche)) > 1
         self.check(vor64, variant, k, nitsche)
+
+    @pytest.mark.parametrize("variant", ["A", "C"])
+    def test_mesh_cells_stack_like_one_at_a_time(self, vor64, variant):
+        # `cell_rows` gathers the rows of mesh cells of one vertex count, so
+        # the builders stack them as they stack class shapes.
+        cells = np.flatnonzero(np.diff(vor64.cell_ptr) == 6)[:4]
+        ops = build_local_matrices(vor64, cells, variant, 2)
+        for i, c in enumerate(cells):
+            one = build_local_matrices(vor64, c, variant, 2)
+            for name in ("R", "G", "S", "A"):
+                assert np.array_equal(getattr(ops, name)[i],
+                                      getattr(one, name)), name
 
     @pytest.mark.parametrize("variant,nitsche", [
         ("A", False), ("C", False), ("B", True)])

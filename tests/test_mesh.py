@@ -1,13 +1,18 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import Voronoi
 
 import hhobiharm as hb
 import hhobiharm.mesh as mesh_mod
 from hhobiharm.mesh import (MeshError, MeshFormatError, _clipped_voronoi,
                             _polygon_moments)
+
+from conftest import DENTED_LOOPS, DENTED_VERTICES
 
 
 def euler(mesh):
@@ -342,6 +347,34 @@ class TestMeshIO:
             assert loaded == mesh
             assert np.array_equal(loaded.vertices, mesh.vertices)
 
+    def test_file_text_matches_per_entry_writer(self, tmp_path, vor64):
+        path = tmp_path / "m.json"
+        hb.save_mesh(vor64, path)
+        m = vor64
+        doc = {
+            "format": "hho-mesh-v1",
+            "vertices": [[float(x), float(y)] for x, y in m.vertices],
+            "faces": [{"v": [int(a) for a in m.face_vertices[f]],
+                       "cells": [int(c) for c in m.face_cells[f] if c >= 0]}
+                      for f in range(m.n_faces)],
+            "cells": [{"faces": [int(f) for f in m.cell_faces[c]],
+                       "signs": [int(s) for s in m.cell_signs[c]]}
+                      for c in range(m.n_cells)],
+        }
+        assert path.read_text() == json.dumps(doc)
+
+    def test_stored_adjacency_must_match(self, tmp_path, rect22):
+        path = tmp_path / "m.json"
+        hb.save_mesh(rect22, path)
+        doc = json.loads(path.read_text())
+        f = int(rect22.interior_faces()[0])
+        doc["faces"][f]["cells"] = [0, 3]
+        path.write_text(json.dumps(doc))
+        msg = (f"face {f}: face adjacency (stored [0, 3], derived "
+               f"{rect22.face_cells[f].tolist()})")
+        with pytest.raises(MeshFormatError, match=re.escape(msg)):
+            hb.load_mesh(path)
+
     def test_face_with_three_cells(self, tmp_path, rect22):
         path = tmp_path / "m.json"
         hb.save_mesh(rect22, path)
@@ -430,3 +463,191 @@ class TestTranslationClasses:
             assert np.array_equal(labels, [0, 1, 2, 3, 4, 2, 2, 2, 2])
         else:
             assert np.all(labels == labels[0])
+
+
+# -- per-cell reference of the mesh construction ----------------------------
+
+
+def _reference_faces(loops):
+    """Faces of `Mesh.from_cell_loops`, numbered cell by cell through a dict
+    in order of first appearance, each oriented as its first cell runs it."""
+    index, face_vertices, cell_faces = {}, [], []
+    for loop in loops:
+        loop = list(loop)
+        faces = []
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            f = index.setdefault((min(a, b), max(a, b)), len(face_vertices))
+            if f == len(face_vertices):
+                face_vertices.append((a, b))
+            faces.append(f)
+        cell_faces.append(faces)
+    return np.array(face_vertices), cell_faces
+
+
+def _reference_topology(vertices, face_vertices, cell_faces):
+    """Loops, signs, outward boundary faces, adjacency and diameters of a
+    `Mesh`, one cell and one face at a time."""
+    fv = np.array(face_vertices)
+    loops, signs = [], []
+    for faces in cell_faces:
+        pairs = [tuple(fv[f]) for f in faces]
+        shared = set(pairs[0]) & set(pairs[1])
+        assert len(shared) == 1
+        cur = (set(pairs[0]) - shared).pop()
+        loop, sgn = [], []
+        for a, b in pairs:
+            assert cur in (a, b)
+            loop.append(cur)
+            sgn.append(1 if a == cur else -1)
+            cur = b if a == cur else a
+        assert cur == loop[0]
+        loops.append(loop)
+        signs.append(sgn)
+    adjacent = [[] for _ in fv]
+    for c, faces in enumerate(cell_faces):
+        for f in faces:
+            adjacent[f].append(c)
+    for f, adj in enumerate(adjacent):
+        if len(adj) == 1:
+            c = adj[0]
+            pos = list(cell_faces[c]).index(f)
+            if signs[c][pos] == -1:
+                fv[f] = fv[f][::-1]
+                signs[c][pos] = 1
+    diameter = []
+    for loop in loops:
+        pts = vertices[loop]
+        d = pts[:, None, :] - pts[None, :, :]
+        diameter.append(np.sqrt((d ** 2).sum(axis=2).max()))
+    face_cells = [adj + [-1] * (2 - len(adj)) for adj in adjacent]
+    return fv, np.array(face_cells), loops, signs, np.array(diameter)
+
+
+def assert_matches_reference(mesh, vertices, face_vertices, cell_faces):
+    """Every array of `mesh` equals, bit for bit, the per-cell reference
+    built from the same vertices, faces and cell face lists."""
+    vertices = np.asarray(vertices, dtype=np.float64)
+    fv, face_cells, loops, signs, diameter = _reference_topology(
+        vertices, face_vertices, cell_faces)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.face_vertices, fv)
+    assert np.array_equal(mesh.face_cells, face_cells)
+    for got, ref in ((mesh.cell_faces, cell_faces), (mesh.cell_loops, loops),
+                     (mesh.cell_signs, signs)):
+        assert len(got) == len(ref)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    area, centroid = _polygon_moments(vertices, [np.array(l) for l in loops])
+    assert np.array_equal(mesh.cell_area, area)
+    assert np.array_equal(mesh.cell_centroid, centroid)
+    assert np.array_equal(mesh.cell_diameter, diameter)
+    dvec = vertices[fv[:, 1]] - vertices[fv[:, 0]]
+    tangent = dvec / np.linalg.norm(dvec, axis=1)[:, None]
+    assert np.array_equal(mesh.face_tangent, tangent)
+    assert np.array_equal(mesh.face_normal,
+                          np.column_stack([tangent[:, 1], -tangent[:, 0]]))
+
+
+def _built_from_loops(monkeypatch, maker):
+    """A generated mesh and the (vertices, loops) it was built from."""
+    seen = []
+    build = hb.Mesh.from_cell_loops
+
+    def spy(vertices, loops):
+        seen.append((np.array(vertices), [list(loop) for loop in loops]))
+        return build(vertices, loops)
+
+    monkeypatch.setattr(hb.Mesh, "from_cell_loops", staticmethod(spy))
+    mesh = maker()
+    monkeypatch.undo()
+    return mesh, seen[-1]
+
+
+def _jittered_rect_loops(nx, ny, seed):
+    """Vertices and loops of an nx-by-ny rectangle mesh: interior vertices
+    moved by less than 0.2 h, vertices relabelled and each loop started at
+    a random vertex, all from `seed`."""
+    rng = np.random.default_rng(seed)
+    mesh = hb.build_rect_mesh(nx, ny)
+    verts = np.array(mesh.vertices)
+    inner = np.all((verts > 0) & (verts < 1), axis=1)
+    h = min(1.0 / nx, 1.0 / ny)
+    verts[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 2)) * h / np.sqrt(2)
+    perm = rng.permutation(len(verts))
+    moved = np.empty_like(verts)
+    moved[perm] = verts
+    loops = [np.roll(perm[loop], -rng.integers(len(loop))).tolist()
+             for loop in mesh.cell_loops]
+    return moved, loops
+
+
+class TestConstructionOracle:
+    """The vectorized construction gives, bit for bit, the arrays of the
+    per-cell reference: dict face numbering, faces chained into loops, signs
+    against the loop, boundary faces flipped outward, per-cell diameters."""
+
+    @pytest.mark.parametrize("maker", [
+        lambda: hb.build_rect_mesh(32, 28), lambda: hb.build_tri_mesh(8),
+        lambda: hb.build_voronoi_mesh(256, 11),
+        lambda: hb.Mesh.from_cell_loops(DENTED_VERTICES, DENTED_LOOPS)],
+        ids=["rect32x28", "tri8", "vor256", "dented"])
+    def test_generated_meshes(self, monkeypatch, maker):
+        mesh, (vertices, loops) = _built_from_loops(monkeypatch, maker)
+        fv, cell_faces = _reference_faces(loops)
+        assert_matches_reference(mesh, vertices, fv, cell_faces)
+
+    @pytest.mark.parametrize("mesh", [hb.build_voronoi_mesh(256, 11),
+                                      hb.build_rect_mesh(5, 4)])
+    def test_flipped_face(self, mesh):
+        f = int(mesh.interior_faces()[7])
+        flipped = hb.with_flipped_face(mesh, f)
+        fv = np.array(mesh.face_vertices)
+        fv[f] = fv[f][::-1]
+        assert_matches_reference(flipped, mesh.vertices, fv, mesh.cell_faces)
+
+    def test_load_round_trip(self, tmp_path):
+        mesh = hb.build_voronoi_mesh(256, 11)
+        path = tmp_path / "m.json"
+        hb.save_mesh(mesh, path)
+        doc = json.loads(path.read_text())
+        loaded = hb.load_mesh(path)
+        assert_matches_reference(loaded, doc["vertices"],
+                                 [face["v"] for face in doc["faces"]],
+                                 [cell["faces"] for cell in doc["cells"]])
+        assert loaded == mesh
+        for name in ("face_cells", "cell_area", "cell_centroid",
+                     "cell_diameter", "face_normal", "cell_face_sign",
+                     "cell_loop"):
+            assert np.array_equal(getattr(loaded, name), getattr(mesh, name))
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(nx=st.integers(1, 5), ny=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_jittered_relabelled_rect_meshes(self, nx, ny, seed):
+        vertices, loops = _jittered_rect_loops(nx, ny, seed)
+        mesh = hb.Mesh.from_cell_loops(vertices, loops)
+        fv, cell_faces = _reference_faces(loops)
+        assert_matches_reference(mesh, vertices, fv, cell_faces)
+
+
+class TestCellRows:
+    def test_rows_stack_the_per_cell_views(self, vor64):
+        sizes = np.diff(vor64.cell_ptr)
+        cells = np.flatnonzero(sizes == 6)[:5]
+        faces, signs, loops = vor64.cell_rows(cells)
+        assert faces.shape == (5, 6)
+        for i, c in enumerate(cells):
+            assert np.array_equal(faces[i], vor64.cell_faces[c])
+            assert np.array_equal(signs[i], vor64.cell_signs[c])
+            assert np.array_equal(loops[i], vor64.cell_loops[c])
+
+    def test_mixed_vertex_counts_rejected(self, vor64):
+        sizes = np.diff(vor64.cell_ptr)
+        cells = [np.flatnonzero(sizes == 5)[0], np.flatnonzero(sizes == 6)[0]]
+        with pytest.raises(MeshError, match="vertex count"):
+            vor64.cell_rows(cells)
+
+    def test_topology_is_read_only(self, rect22):
+        for arr in (rect22.cell_ptr, rect22.cell_face, rect22.cell_face_sign,
+                    rect22.cell_loop, rect22.cell_faces[0]):
+            with pytest.raises(ValueError):
+                arr[0] = 1
