@@ -8,8 +8,12 @@ domain.  The per-cell signs sigma = n_F . n_K recover the outward normal of
 each cell from the stored face normal.
 
 The areas and centroids of all polygons come from one flattened shoelace
-pass, `_polygon_moments`, used by mesh construction, the Voronoi generator
-(orientation and Lloyd sweeps) and `validate`.
+pass, `_polygon_moments`, used by mesh construction, the orientation of the
+Voronoi generator's cells and `validate`.  The generator's Lloyd sweeps
+never build a polygon: each sweep takes the areas and centroids of the
+clipped Voronoi cells from kite moments of one Delaunay triangulation
+(`_voronoi_moments`), and only the final diagram is a Qhull Voronoi diagram,
+of the full mirror (`_clipped_voronoi`).
 
 Meshes are immutable after construction and safe for concurrent reads.
 """
@@ -21,7 +25,7 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Delaunay, Voronoi, cKDTree
 from scipy.spatial._qhull import QhullError
 
 __all__ = [
@@ -79,6 +83,12 @@ def _csr(rows):
     return ptr, flat.astype(np.int64)
 
 
+def _rows(flat, ptr):
+    """The rows of a CSR table, as views of `flat`."""
+    bounds = zip(ptr[:-1].tolist(), ptr[1:].tolist())
+    return tuple(flat[a:b] for a, b in bounds)
+
+
 def _positions(ptr):
     """Cell of each flat position of a CSR table, and the positions of the
     previous and the next entry of the same cell, cyclically."""
@@ -127,9 +137,9 @@ class _Cells:
     per-cell views for per-cell callers."""
 
     n_cells = property(lambda self: len(self.cell_ptr) - 1)
-    cell_faces = cached_property(lambda self: self._views(self.cell_face))
-    cell_signs = cached_property(lambda self: self._views(self.cell_face_sign))
-    cell_loops = cached_property(lambda self: self._views(self.cell_loop))
+    cell_faces = cached_property(lambda s: _rows(s.cell_face, s.cell_ptr))
+    cell_signs = cached_property(lambda s: _rows(s.cell_face_sign, s.cell_ptr))
+    cell_loops = cached_property(lambda s: _rows(s.cell_loop, s.cell_ptr))
 
     def cell_rows(self, cells) -> CellRows:
         """Faces, signs and loops of one cell, or of an array of cells of one
@@ -149,10 +159,6 @@ class _Cells:
             raise MeshError("the cells of a row gather must share their "
                             "vertex count")
         return start[..., None] + np.arange(nv)
-
-    def _views(self, flat):
-        bounds = zip(self.cell_ptr[:-1].tolist(), self.cell_ptr[1:].tolist())
-        return tuple(flat[a:b] for a, b in bounds)
 
 
 class Mesh(_Cells):
@@ -536,37 +542,81 @@ def _mirror_points(pts, band):
     return np.vstack([pts] + refl)
 
 
-def _clipped_voronoi(pts, band=np.inf):
-    """Voronoi cells of pts clipped exactly to (0,1)^2 via mirrored generators.
+def _clipped_voronoi(pts):
+    """Voronoi cells of pts clipped exactly to (0,1)^2 by reflecting every
+    generator across each side of the square.
 
-    Only the generators within `band` of a side are reflected across it
+    Returns (vertex coordinates, list of vertex-id loops, one per point of
+    pts).  A loop holds -1 where its region is unbounded.
+    """
+    vor = Voronoi(_mirror_points(pts, np.inf))
+    return vor.vertices, [vor.regions[r] for r in vor.point_region[:len(pts)]]
+
+
+def _voronoi_moments(pts, band):
+    """Area and centroid of the Voronoi cell of each generator in pts,
+    clipped exactly to (0,1)^2, from one Delaunay triangulation.
+
+    The generators within `band` of a side are reflected across it
     (PolyMesher's reflection); a band of 1 or more reflects them all.  A
     missing reflection q' of a generator q never cuts a cell inside the
-    square, where |x - q'| >= |x - q|, so a bounded region whose vertices
-    all lie in [0,1]^2 (to 1e-12) is exactly the clipped cell.  Until every
-    region passes that check the band is doubled; the full mirror needs no
-    check.
+    square, where |x - q'| >= |x - q|, so a cell is exact when its generator
+    is not on the hull and the circumcentres of the triangles around it all
+    lie in [0,1]^2 (to 1e-12).  Until every cell passes that check the band
+    is doubled; the full mirror needs no check.
 
-    Returns (vertex coordinates, list of ordered vertex-id loops).
+    Each corner a of a (counterclockwise) triangle T adds its kite
+    (p_a, m_ab, c_T, m_ca), with m the edge midpoints and c_T the
+    circumcentre, as two signed triangles relative to p_a.  Around a
+    generator inside the hull the kites add up to the polygon of
+    circumcentres, its Voronoi cell.  A generator with no triangle (the
+    twin of a coincident one) or a cell without a positive finite area
+    raises `MeshError`.
     """
+    n = len(pts)
     while True:
-        vor = Voronoi(_mirror_points(pts, band))
-        regions = [vor.regions[r] for r in vor.point_region[:len(pts)]]
-        bounded = all(len(reg) >= 3 and -1 not in reg for reg in regions)
+        tri = Delaunay(_mirror_points(pts, band))
+        corner = tri.points[tri.simplices]           # CCW in 2-D
+        e1, e2 = (corner[:, 1:] - corner[:, :1]).transpose(1, 2, 0)
+        s1, s2 = (e1 ** 2).sum(axis=0), (e2 ** 2).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = 2.0 * (e1[0] * e2[1] - e1[1] * e2[0])
+            centre = corner[:, 0] + np.column_stack(
+                [e2[1] * s1 - e1[1] * s2, e1[0] * s2 - e2[0] * s1]) / d[:, None]
+        bounded = not np.any(tri.convex_hull < n)
         if band >= 1.0:
             if not bounded:
                 raise MeshError("unbounded or degenerate Voronoi region")
-            return vor.vertices, regions
-        if bounded and np.all(np.abs(vor.vertices[np.concatenate(regions)] - 0.5)
-                              <= 0.5 + 1e-12):
-            return vor.vertices, regions
+            break
+        near = np.any(tri.simplices < n, axis=1)
+        if bounded and np.all(np.abs(centre[near] - 0.5) <= 0.5 + 1e-12):
+            break
         band *= 2.0
+
+    # Relative to each corner p_a: q = c_T - p_a, hb = m_ab - p_a and
+    # hc = m_ca - p_a.
+    q = centre[:, None] - corner
+    hb = 0.5 * (np.roll(corner, -1, axis=1) - corner)
+    hc = 0.5 * (np.roll(corner, 1, axis=1) - corner)
+    a1 = 0.5 * (hb[..., 0] * q[..., 1] - hb[..., 1] * q[..., 0])
+    a2 = 0.5 * (q[..., 0] * hc[..., 1] - q[..., 1] * hc[..., 0])
+    moment = (a1[..., None] * (hb + q) + a2[..., None] * (q + hc)) / 3.0
+    ids, size = tri.simplices.ravel(), len(tri.points)
+    area = np.bincount(ids, (a1 + a2).ravel(), size)[:n]
+    if not np.all(np.isfinite(area) & (area > 0)):
+        raise MeshError("degenerate Voronoi cell in a Lloyd sweep")
+    first = np.column_stack([np.bincount(ids, moment[..., i].ravel(), size)[:n]
+                             for i in range(2)])
+    return area, pts + first / area[:, None]
 
 
 def _voronoi_mesh_once(points, n_cells):
     """Build a Mesh from the clipped Voronoi diagram of the given points."""
     vor_vertices, regions = _clipped_voronoi(points)
-    used = np.unique(np.concatenate(regions))
+    ptr, ids = _csr(regions)
+    if np.diff(ptr).min() < 3 or ids.min() < 0:
+        raise MeshError("unbounded or degenerate Voronoi region")
+    used = np.unique(ids)
     verts = vor_vertices[used].copy()
     remap = np.full(len(vor_vertices), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
@@ -586,16 +636,20 @@ def _voronoi_mesh_once(points, n_cells):
     vertex_map = final[alias]
     verts = verts[keep]
 
-    loops = []
-    for reg in regions:
-        loop = vertex_map[remap[np.asarray(reg)]]
-        cleaned = [v for i, v in enumerate(loop) if v != loop[i - 1]]
-        if len(cleaned) < 3:
-            raise MeshError("degenerate Voronoi cell after vertex merging")
-        loops.append(cleaned)
-    area, _ = _polygon_moments(verts, loops)
-    loops = [loop[::-1] if a < 0 else loop for loop, a in zip(loops, area)]
-    mesh = Mesh.from_cell_loops(verts, loops)
+    # Drop each vertex equal to its cyclic predecessor, then turn the
+    # clockwise loops around.
+    loop = vertex_map[remap[ids]]
+    cell, prev, _ = _positions(ptr)
+    kept = loop != loop[prev]
+    np.cumsum(np.bincount(cell[kept], minlength=len(ptr) - 1), out=ptr[1:])
+    if np.diff(ptr).min() < 3:
+        raise MeshError("degenerate Voronoi cell after vertex merging")
+    loop, cell = loop[kept], cell[kept]
+    area, _ = _polygon_moments(verts, _rows(loop, ptr))
+    pos = np.arange(len(loop))
+    loop = loop[np.where(area[cell] < 0, ptr[cell] + ptr[cell + 1] - 1 - pos,
+                         pos)]
+    mesh = Mesh.from_cell_loops(verts, _rows(loop, ptr))
     if mesh.n_cells != n_cells:
         raise MeshError("Voronoi generator lost cells")
     return mesh
@@ -605,16 +659,18 @@ def build_voronoi_mesh(n_cells: int, seed: int, lloyd_iters: int = 20) -> Mesh:
     """Lloyd-relaxed Voronoi partition of (0,1)^2 with n_cells polygons.
 
     Generator points are drawn uniformly from a seeded RNG and `lloyd_iters`
-    centroidal relaxation sweeps are applied.  Every diagram is clipped
-    exactly to the unit square by mirroring generators across its sides.  A
-    sweep reflects only those within a band of 1.5*sqrt(1/n_cells) of a side
-    (PolyMesher's choice), doubled until every region is bounded and inside
-    the square, which makes it exactly the clipped cell (`_clipped_voronoi`).
-    The final diagram reflects every generator: a band would leave its cells
-    as they are but change Qhull's input, and with it the numbering of the
-    mesh's vertices and faces.  The result is a pure function of (n_cells,
-    seed, lloyd_iters).  Degenerate point sets are retried with perturbed
-    seeds, up to 10 attempts.
+    centroidal relaxation sweeps are applied.  Every cell is clipped exactly
+    to the unit square by mirroring generators across its sides.  A sweep
+    moves each generator to the centroid of its cell, computed from kite
+    moments of the Delaunay triangulation (`_voronoi_moments`); it reflects
+    only the generators within a band of 1.5*sqrt(1/n_cells) of a side
+    (PolyMesher's choice), doubled until every cell is bounded and inside
+    the square, which makes it exactly the clipped cell.  The final diagram
+    is the Qhull Voronoi diagram of the full mirror (`_clipped_voronoi`): a
+    band would leave its cells as they are but change Qhull's input, and
+    with it the numbering of the mesh's vertices and faces.  The result is a
+    pure function of (n_cells, seed, lloyd_iters).  Degenerate point sets
+    are retried with perturbed seeds, up to 10 attempts.
     """
     if n_cells < 1:
         raise MeshError("n_cells must be positive")
@@ -626,8 +682,7 @@ def build_voronoi_mesh(n_cells: int, seed: int, lloyd_iters: int = 20) -> Mesh:
         try:
             pts = points
             for _ in range(lloyd_iters):
-                vor_vertices, regions = _clipped_voronoi(pts, band)
-                _, pts = _polygon_moments(vor_vertices, regions)
+                _, pts = _voronoi_moments(pts, band)
                 np.clip(pts, 1e-9, 1.0 - 1e-9, out=pts)
             return _voronoi_mesh_once(pts, n_cells)
         except (QhullError, MeshError, MeshFormatError,

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Voronoi
+from scipy.spatial import Delaunay, Voronoi, cKDTree
 
 import hhobiharm as hb
 import hhobiharm.mesh as mesh_mod
 from hhobiharm.mesh import (MeshError, MeshFormatError, _clipped_voronoi,
-                            _polygon_moments)
+                            _polygon_moments, _voronoi_moments)
 
 from conftest import DENTED_LOOPS, DENTED_VERTICES
 
@@ -153,50 +153,87 @@ class TestVoronoiMesh:
             assert rep.ok, rep.failures
 
     def test_degenerate_diagrams_retried(self, monkeypatch):
-        real = mesh_mod._clipped_voronoi
-        calls = {"n": 0}
+        # The first sweep of the first attempt and the final diagram of the
+        # second fail; the third attempt succeeds.
+        calls = {"_voronoi_moments": 0, "_clipped_voronoi": 0}
 
-        def flaky(pts, band=np.inf):
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                raise MeshError("unbounded or degenerate Voronoi region")
-            return real(pts, band)
+        def flaky(name):
+            real = getattr(mesh_mod, name)
 
-        monkeypatch.setattr(mesh_mod, "_clipped_voronoi", flaky)
+            def call(*args):
+                calls[name] += 1
+                if calls[name] == 1:
+                    raise MeshError("unbounded or degenerate Voronoi region")
+                return real(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(mesh_mod, name, flaky(name))
         m = hb.build_voronoi_mesh(9, 3, 2)
         assert m.n_cells == 9
-        assert calls["n"] > 2
+        assert calls == {"_voronoi_moments": 1 + 2 + 2, "_clipped_voronoi": 2}
 
     def test_persistent_degeneracy_raises(self, monkeypatch):
-        def broken(pts, band=np.inf):
+        def broken(*args):
             raise MeshError("unbounded or degenerate Voronoi region")
 
+        monkeypatch.setattr(mesh_mod, "_voronoi_moments", broken)
         monkeypatch.setattr(mesh_mod, "_clipped_voronoi", broken)
-        with pytest.raises(MeshError, match="10 attempts"):
-            hb.build_voronoi_mesh(9, 3, 2)
+        for lloyd_iters in (2, 0):    # a sweep fails, or the final diagram
+            with pytest.raises(MeshError, match="10 attempts"):
+                hb.build_voronoi_mesh(9, 3, lloyd_iters)
+
+    @pytest.mark.parametrize("band", [0.1, np.inf])
+    def test_coincident_generators_raise(self, band):
+        pts = np.random.default_rng(4).random((30, 2))
+        pts[7] = pts[3]
+        with pytest.raises(MeshError, match="degenerate"):
+            _voronoi_moments(pts, band)
 
 
 def _qhull_sizes(monkeypatch):
-    """Record the number of points of every Qhull call of the mesh module."""
-    sizes = []
+    """Record the number of points of every Qhull call of the mesh module,
+    by kind: {"Delaunay": [...], "Voronoi": [...]}."""
+    sizes = {"Delaunay": [], "Voronoi": []}
 
-    def spy(points, *args, **kwargs):
-        sizes.append(len(points))
-        return Voronoi(points, *args, **kwargs)
+    def spy(kind, qhull):
+        def call(points, *args, **kwargs):
+            sizes[kind].append(len(points))
+            return qhull(points, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(mesh_mod, "Voronoi", spy)
+    monkeypatch.setattr(mesh_mod, "Delaunay", spy("Delaunay", Delaunay))
+    monkeypatch.setattr(mesh_mod, "Voronoi", spy("Voronoi", Voronoi))
     return sizes
 
 
 def _assert_same_cells(pts, band):
-    """The banded diagram gives the full mirror's clipped cells."""
-    got = _clipped_voronoi(pts, band)
-    full = _clipped_voronoi(pts)
-    (area, cen), (area_full, cen_full) = (_polygon_moments(*d) for d in (got, full))
-    np.testing.assert_allclose(np.abs(area), np.abs(area_full), rtol=0, atol=1e-13)
+    """The banded sweep gives the moments of the full mirror's clipped
+    cells, and the circumcentres of the triangles around each generator are
+    the vertices of its clipped cell."""
+    tris = []
+    with pytest.MonkeyPatch.context() as mp:
+        qhull = mesh_mod.Delaunay
+        mp.setattr(mesh_mod, "Delaunay",
+                   lambda points: tris.append(qhull(points)) or tris[-1])
+        area, cen = _voronoi_moments(pts, band)
+    vertices, regions = _clipped_voronoi(pts)
+    area_full, cen_full = _polygon_moments(vertices, regions)
+    np.testing.assert_allclose(area, np.abs(area_full), rtol=0, atol=1e-13)
     np.testing.assert_allclose(cen, cen_full, rtol=0, atol=1e-13)
-    for loop, loop_full in zip(got[1], full[1]):
-        d = np.linalg.norm(got[0][loop][:, None] - full[0][loop_full][None], axis=2)
+
+    # Circumcentre x of (p0, p1, p2): 2 (p_i - p0) . (x - p0) = |p_i - p0|^2.
+    tri = tris[-1]
+    corner = tri.points[tri.simplices]
+    edge = corner[:, 1:] - corner[:, :1]
+    rhs = (edge ** 2).sum(-1)[..., None]
+    centre = corner[:, 0] + np.linalg.solve(2 * edge, rhs)[..., 0]
+    owner = tri.simplices.ravel()
+    order = np.argsort(owner, kind="stable")
+    around = np.split(order // 3, np.cumsum(np.bincount(owner))[:-1])
+    for a, reg in enumerate(regions):
+        d = np.linalg.norm(centre[around[a]][:, None] - vertices[reg][None],
+                           axis=2)
         assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-13
 
 
@@ -209,7 +246,7 @@ class TestBandedMirror:
         sizes = _qhull_sizes(monkeypatch)
         _assert_same_cells(pts, 1.5 * np.sqrt(1.0 / n))
         if n <= 2:   # the first band is already 1 or more: one full mirror
-            assert sizes[0] == 5 * n
+            assert sizes["Delaunay"] == [5 * n]
 
     def test_band_doubles_until_cells_are_inside(self, monkeypatch):
         # A cluster in the lower-left corner and one generator in the middle,
@@ -220,7 +257,7 @@ class TestBandedMirror:
         n = len(pts)
         sizes = _qhull_sizes(monkeypatch)
         _assert_same_cells(pts, 1.5 * np.sqrt(1.0 / n))
-        banded = sizes[:-1]           # the last call is the full mirror
+        banded = sizes["Delaunay"]
         assert len(banded) >= 3
         assert banded == sorted(banded) and banded[-1] < 5 * n
 
@@ -229,8 +266,81 @@ class TestBandedMirror:
         sizes = _qhull_sizes(monkeypatch)
         m = hb.build_voronoi_mesh(n, 5, 20)
         assert m.n_cells == n
-        assert sizes[-1] == 5 * n     # the final diagram is the full mirror
-        assert len(sizes) > 20 and max(sizes[:-1]) < 2 * n
+        assert sizes["Voronoi"] == [5 * n]   # the final diagram: full mirror
+        banded = sizes["Delaunay"]
+        assert len(banded) > 20 and max(banded) < 2 * n
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(n=st.integers(1, 200), cluster=st.integers(0, 100),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_generators(self, n, cluster, seed):
+        # The first `cluster` generators (or all of them) crowd the lower-left
+        # corner, which leaves the cells of the others larger than the band.
+        pts = np.random.default_rng(seed).random((n, 2))
+        pts[:cluster] *= 0.05
+        area, _ = _voronoi_moments(pts, 1.5 * np.sqrt(1.0 / n))
+        assert abs(area.sum() - 1.0) <= 1e-13
+        _assert_same_cells(pts, 1.5 * np.sqrt(1.0 / n))
+
+
+def _per_region_mesh(points):
+    """The clipped Voronoi mesh of `points`, cleaned and oriented region by
+    region: the reference for the CSR pass of `_voronoi_mesh_once`."""
+    vor_vertices, regions = _clipped_voronoi(points)
+    used = np.unique(np.concatenate(regions))
+    verts = vor_vertices[used].copy()
+    remap = np.full(len(vor_vertices), -1, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    for val in (0.0, 1.0):
+        verts[np.abs(verts - val) < 1e-12] = val
+    alias = np.arange(len(verts))
+    for a, b in sorted(cKDTree(verts).query_pairs(1e-9)):
+        ra, rb = alias[a], alias[b]
+        if ra != rb:
+            alias[alias == max(ra, rb)] = min(ra, rb)
+    keep = np.unique(alias)
+    final = np.full(len(verts), -1, dtype=np.int64)
+    final[keep] = np.arange(len(keep))
+    verts = verts[keep]
+    loops = []
+    for reg in regions:
+        loop = final[alias][remap[np.asarray(reg)]]
+        loops.append([v for i, v in enumerate(loop) if v != loop[i - 1]])
+    area, _ = _polygon_moments(verts, loops)
+    loops = [loop[::-1] if a < 0 else loop for loop, a in zip(loops, area)]
+    return hb.Mesh.from_cell_loops(verts, loops)
+
+
+def _assert_same_mesh(mesh, ref):
+    assert mesh == ref
+    for name in ("cell_loop", "cell_face_sign", "cell_area", "cell_centroid",
+                 "face_cells"):
+        assert np.array_equal(getattr(mesh, name), getattr(ref, name))
+
+
+class TestFinalDiagram:
+    @pytest.mark.parametrize("n, seed", [(64, 42), (2048, 5)])
+    def test_csr_pass_matches_per_region_pass(self, monkeypatch, n, seed):
+        seen = []
+        once = mesh_mod._voronoi_mesh_once
+
+        def spy(points, n_cells):
+            seen.append(points.copy())
+            return once(points, n_cells)
+
+        monkeypatch.setattr(mesh_mod, "_voronoi_mesh_once", spy)
+        mesh = hb.build_voronoi_mesh(n, seed)
+        _assert_same_mesh(mesh, _per_region_mesh(seen[-1]))
+
+    def test_merged_vertices_leave_the_loops(self):
+        # Generators 1e-11 off a 6x6 grid: Qhull splits each grid vertex into
+        # near-duplicates, which the merge folds back.
+        grid = (np.arange(6) + 0.5) / 6
+        pts = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+        pts += 1e-11 * np.random.default_rng(0).standard_normal(pts.shape)
+        mesh = mesh_mod._voronoi_mesh_once(pts, 36)
+        assert len(mesh.cell_loop) < sum(map(len, _clipped_voronoi(pts)[1]))
+        _assert_same_mesh(mesh, _per_region_mesh(pts))
 
 
 class TestInvariants:
