@@ -14,6 +14,8 @@ carries the one into the other during scatter and gather.  These signs are
 stacked per translation class, one row per member cell, and applied to the
 whole class at once.  Classes of the same shape and size are handled in
 batches (see `shape_batches`), with a leading class axis on every stack.
+The global matrix is a block matrix with one dofs_per_interface square
+block per pair of interior faces that share a cell.
 """
 
 import time
@@ -27,11 +29,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .common import AssemblyError, ConfigError, by_columns, tr
-from .localops import (LocalOperators, build_local_matrices, reduce_face,
-                       space_degrees)
+from .localops import LocalOperators, build_local_matrices, space_degrees
 from .mesh import (CellShape, Mesh, class_members, shape_batches,
                    translation_classes)
-from .polyspace import CellBasis
+from .polyspace import CellBasis, FaceBasis, _canonical_dof_rows, _gram
 from .quadrature import (BC_EXTRA_DEGREE, RHS_EXTRA_DEGREE, QuadratureRule,
                          cell_degree, cell_rule, face_degree, face_rule)
 
@@ -44,11 +45,13 @@ BC_MODES = ("strong", "nitsche")
 class BoundaryData:
     """Dirichlet/Neumann data on the boundary of the domain.
 
-    `g_D` is the prescribed trace and `g_N` the prescribed outward normal
-    derivative; both take an (n, 2) point array (g_N additionally the unit
-    outward normal of the face).  The full boundary gradient
-    G = g_N n + (d_t g_D) t, needed by the Nitsche mode, is available when
-    `grad` (the gradient of an extension of the data) is supplied.
+    `g_D` is the prescribed trace and takes an (n, 2) point array; `g_N` is
+    the prescribed outward normal derivative and takes the points and one
+    unit outward normal per point, both (n, 2), so that one call covers
+    points on many faces.  Without `g_N` the normal derivative is n . grad
+    from `grad` (the gradient of an extension of the data), which also gives
+    the full boundary gradient G = g_N n + (d_t g_D) t needed by the Nitsche
+    mode.
     """
 
     def __init__(self, g_D=None, g_N=None, grad=None):
@@ -65,11 +68,14 @@ class BoundaryData:
             return np.zeros(len(pts))
         return np.asarray(self._g_D(pts), dtype=np.float64)
 
-    def neumann(self, pts, normal):
+    def neumann(self, pts, normals):
+        """g_N at boundary points (n, 2), given the unit outward normal at
+        each point, (n, 2)."""
         if self._g_N is not None:
-            return np.asarray(self._g_N(pts, normal), dtype=np.float64)
+            return np.asarray(self._g_N(pts, normals), dtype=np.float64)
         if self._grad is not None:
-            return np.asarray(self._grad(pts), dtype=np.float64) @ normal
+            return np.einsum("ij,ij->i", np.asarray(self._grad(pts),
+                                                    dtype=np.float64), normals)
         return np.zeros(len(pts))
 
     def boundary_gradient(self, pts):
@@ -101,8 +107,10 @@ class BoundaryData:
 class DofMap:
     """Numbering of the globally coupled face unknowns.
 
-    Every interior face carries one trace block followed by one normal block;
-    boundary faces are prescribed (strong mode) or absent (Nitsche mode).
+    Every interior face carries one trace block followed by one normal block,
+    together `dofs_per_interface` unknowns starting at `face_offset`, which
+    is the face's rank among the interior faces times that count; boundary
+    faces are prescribed (strong mode) or absent (Nitsche mode).
     """
     variant: str
     k: int
@@ -167,7 +175,12 @@ class ClassRecovery:
 
 @dataclass
 class CondensedSystem:
-    """Face-unknown SPD system plus per-class recovery data."""
+    """Face-unknown SPD system plus per-class recovery data.
+
+    `prescribed` holds the prescribed [trace | normal] values of every face
+    in its stored orientation, one row per face: the strong boundary data on
+    boundary faces, zero elsewhere and in Nitsche mode.
+    """
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
@@ -178,7 +191,7 @@ class CondensedSystem:
     scaling: str
     classes: list               # one ClassRecovery per batch of classes
     labels: np.ndarray          # index in `classes` of each cell's batch
-    prescribed: dict            # face id -> (trace coeffs, normal coeffs)
+    prescribed: np.ndarray      # (n_faces, dofs_per_interface)
     assembly_time: float = 0.0
 
     @property
@@ -204,20 +217,57 @@ class HHOSolution:
                                cls.gather_rest(x0, row)])
 
 
+def _face_solve(M, rhs, assume_a):
+    """Solve the systems of a stack of faces, each as `sla.solve` solves a
+    single one: a 1 x 1 system by division."""
+    if M.shape[-1] == 1:
+        return rhs / M[..., 0]
+    return sla.solve(M, rhs[..., None], assume_a=assume_a)[..., 0]
+
+
+def _project_faces(table, weights, vals):
+    """L^2 projections on a stack of faces, as `project_face` takes one."""
+    rhs = (tr(table) @ (weights * vals)[..., None])[..., 0]
+    return _face_solve(_gram(table, weights), rhs, "pos")
+
+
 def _prescribe_boundary(mesh, variant, k, bdata):
-    """Boundary face -> (trace coefficients, normal coefficients) from the data."""
+    """The prescribed [trace | normal] values of every face in its stored
+    orientation, (n_faces, td + nd); zero off the boundary and without data.
+
+    All boundary faces at once, with the arithmetic of `reduce_face` on each:
+    the trace block is the canonical hybrid interpolation of g_D (variants
+    A, C) or its L^2 projection (B), the normal block the L^2 projection of
+    g_N.  The data is evaluated once on every rule point, and g_D once more
+    on every face endpoint.
+    """
     _, trace_deg, normal_deg = space_degrees(variant, k)
-    fdeg = face_degree(k) + BC_EXTRA_DEGREE
-    out = {}
-    for f in mesh.boundary_faces():
-        if bdata is None:
-            out[f] = (np.zeros(trace_deg + 1), np.zeros(normal_deg + 1))
-            continue
-        n_F = mesh.face_normal[f]
-        out[f] = reduce_face(mesh, f, bdata.dirichlet,
-                             lambda p: bdata.neumann(p, n_F), variant, k,
-                             face_rule(mesh, f, fdeg))
-    return out
+    table = np.zeros((mesh.n_faces, trace_deg + normal_deg + 2))
+    faces = mesh.boundary_faces()
+    if bdata is None or len(faces) == 0:
+        return table
+    rule = face_rule(mesh, faces, face_degree(k) + BC_EXTRA_DEGREE)
+    w = rule.weights
+    pts = rule.points.reshape(-1, 2)
+    g_D = bdata.dirichlet(pts).reshape(w.shape)
+    normals = np.repeat(mesh.face_normal[faces], w.shape[-1], axis=0)
+    g_N = bdata.neumann(pts, normals).reshape(w.shape)
+    tb = FaceBasis.for_face(mesh, faces, trace_deg)
+    if variant == "B":
+        trace = _project_faces(tb.eval(rule.points), w, g_D)
+    else:
+        half = 0.5 * tb.length[:, None] * tb.tangent
+        ends = np.stack([tb.midpoint - half, tb.midpoint + half], axis=1)
+        d = [bdata.dirichlet(ends.reshape(-1, 2)).reshape(-1, 2)]
+        if k >= 1:
+            theta = tb.eval_param(tb.param(rule.points))[..., :k]
+            d.append((tr(theta) @ (w * g_D)[..., None])[..., 0])
+        D = _canonical_dof_rows(tb, k, rule, "monomial")
+        trace = _face_solve(D, np.concatenate(d, axis=-1), None)
+    nb = FaceBasis.for_face(mesh, faces, normal_deg)
+    table[faces, :trace_deg + 1] = trace
+    table[faces, trace_deg + 1:] = _project_faces(nb.eval(rule.points), w, g_N)
+    return table
 
 
 @dataclass
@@ -293,6 +343,19 @@ def _rest_map(layout):
     return out
 
 
+@lru_cache(maxsize=64)
+def _face_order(layout):
+    """Face-major order of the rest unknowns of a layout: the permutation
+    that lists each face's unknowns in the order of its global
+    [trace | normal] block, face after face, and the positions of the faces
+    that carry unknowns.  The arrays are cached, so they are read-only."""
+    face, block, _ = _rest_map(layout)
+    out = np.lexsort((block, face)), np.unique(face)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _class_contribution(mesh, members, shape, loc, f_load, fixed_table,
                         dofmap):
     """Load, boundary bookkeeping, rhs condensation and scatter data of the
@@ -300,8 +363,11 @@ def _class_contribution(mesh, members, shape, loc, f_load, fixed_table,
     is `loc`.
 
     `fixed_table` holds each face's prescribed [trace | normal] values in
-    its stored orientation.  Returns, per class, the COO triple and the
-    right-hand side entries, and the batch's `ClassRecovery`.
+    its stored orientation.  Each member's signed Schur complement is put in
+    face-major order (see `_face_order`) and cut into one d x d block per
+    pair of its faces with unknowns, d = `dofs_per_interface`.  Returns the
+    block rows, block columns and blocks, the global indices and values of
+    the right-hand side entries, and the batch's `ClassRecovery`.
     """
     ops = loc.ops
     lay = ops.layout
@@ -319,10 +385,11 @@ def _class_contribution(mesh, members, shape, loc, f_load, fixed_table,
 
     face, block, power = _rest_map(lay)
     rows = mesh.cell_rows(members)
+    signs = rows.signs[..., face].astype(np.float64) ** power
     # Per class, an (m, n_rest) table stored column by column, the layout
     # that the products below read.
     faces = by_columns(rows.faces[..., face])
-    sign = by_columns(rows.signs[..., face].astype(np.float64) ** power)
+    sign = by_columns(signs)
     start = dofmap.face_offset[faces]
     unk = start >= 0
     gidx = np.where(unk, start + block, -1)
@@ -330,22 +397,47 @@ def _class_contribution(mesh, members, shape, loc, f_load, fixed_table,
 
     g_r = b[..., nc:] - tr(_cell_solve(loc.A_TT, tr(b[..., :nc]))) @ loc.A_Trest
     rhs_loc = sign * (g_r - fixed @ loc.S_rr)
-    S = loc.S_rr[:, None] * sign[..., :, None] * sign[..., None, :]
-    pair = unk[..., :, None] & unk[..., None, :]
-    rows = np.broadcast_to(gidx[..., :, None], S.shape)[pair]
-    cols = np.broadcast_to(gidx[..., None, :], S.shape)[pair]
+
+    order, at = _face_order(lay)
+    d = dofmap.dofs_per_interface
+    S_rr = loc.S_rr[:, order[:, None], order]
+    sgn = signs[..., order]
+    S = S_rr[:, None] * sgn[..., :, None] * sgn[..., None, :]
+    blocks = S.reshape(members.shape + (len(at), d, len(at), d)).swapaxes(-3, -2)
+    key = dofmap.face_offset[rows.faces[..., at]] // d
+    pair = (key[..., :, None] >= 0) & (key[..., None, :] >= 0)
+    brow = np.broadcast_to(key[..., :, None], pair.shape)[pair]
+    bcol = np.broadcast_to(key[..., None, :], pair.shape)[pair]
 
     rec = ClassRecovery(members=members, offsets=offsets,
                         rec_basis=ops.rec_basis, R=ops.R,
                         lifting=ops.lifting, A_TT=loc.A_TT,
                         A_Trest=loc.A_Trest, b_T=b[..., :nc], rest_gidx=gidx,
                         rest_sign=sign, rest_fixed=fixed)
-    # Boolean masks take the entries class by class.
-    at = np.cumsum(pair.sum(axis=(1, 2, 3)))[:-1]
-    at_rhs = np.cumsum(unk.sum(axis=(1, 2)))[:-1]
-    triples = zip(*(np.split(x, at) for x in (rows, cols, S[pair])))
-    loads = zip(*(np.split(x, at_rhs) for x in (gidx[unk], rhs_loc[unk])))
-    return list(triples), list(loads), rec
+    return (brow, bcol, blocks[pair]), (gidx[unk], rhs_loc[unk]), rec
+
+
+def _block_matrix(brow, bcol, blocks, n):
+    """The n x n CSR matrix of d x d blocks at block rows and columns, the
+    blocks at one position summed in the order given.  A position has at
+    most two blocks (from the two cells of a face), so the sum does not
+    depend on that order."""
+    d = blocks.shape[-1]
+    nb = n // d
+    key = brow * nb + bcol
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.diff(key, prepend=-1) != 0
+    first = np.flatnonzero(new)
+    data = blocks[order[first]]
+    at = np.cumsum(new) - 1             # output block of each sorted block
+    rank = np.arange(len(key)) - first[at]
+    for r in range(1, rank.max(initial=0) + 1):
+        later = rank == r
+        data[at[later]] += blocks[order[later]]
+    indptr = np.searchsorted(key[first], np.arange(nb + 1) * nb)
+    return sp.bsr_matrix((data, key[first] % nb, indptr),
+                         shape=(n, n)).tocsr()
 
 
 def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
@@ -364,22 +456,21 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
     integrate the load at the translated points, carry the face unknowns
     between the stored orientation and each cell's loop frame with an exact
     +-1 per unknown, eliminate the cell block from the right-hand side, and
-    scatter the Schur complement.  The batch build is dropped before the next
-    batch starts.  The scatter entries are put together class by class, in
-    class order, so the system does not depend on the batching.  In strong
-    mode, boundary-face unknowns are prescribed from the boundary data
-    (canonical interpolation of g_D, L^2 projection of g_N) and moved to the
-    right-hand side.  The result is symmetric positive definite.
+    cut the signed Schur complement into face blocks.  The batch build is
+    dropped before the next batch starts.  The blocks of all batches are
+    sorted by position once, the at most two at a position summed, and the
+    CSR matrix built from the block rows, so the system does not depend on
+    the batching.  In strong mode, boundary-face unknowns are prescribed
+    from the boundary data, all boundary faces in one stacked pass
+    (canonical interpolation of g_D, L^2 projection of g_N; see
+    `_prescribe_boundary`), and moved to the right-hand side.  The result is
+    symmetric positive definite.
     """
     t0 = time.perf_counter()
     dofmap = DofMap.create(mesh, variant, k, bc_mode)
     nitsche = bc_mode == "nitsche"
-    prescribed = {}
-    fixed_table = np.zeros((mesh.n_faces, dofmap.dofs_per_interface))
-    if bc_mode == "strong":
-        prescribed = _prescribe_boundary(mesh, variant, k, bdata)
-        for face, (trace, normal) in prescribed.items():
-            fixed_table[face] = np.concatenate([trace, normal])
+    fixed_table = _prescribe_boundary(mesh, variant, k,
+                                      None if nitsche else bdata)
 
     labels = translation_classes(mesh)
     if nitsche:
@@ -393,7 +484,7 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
     if nitsche:     # the boundary faces of a class carry no unknowns
         bare = [tuple(mesh.is_boundary_face[mesh.cell_rows(m[0]).faces])
                 for m in members]
-    triples, loads = [None] * len(members), [None] * len(members)
+    parts, loads = [], []
     classes, batch_of = [], np.empty(mesh.n_cells, dtype=np.int64)
     for batch in shape_batches(mesh, members, bare):
         cells = np.array([members[i] for i in batch])
@@ -404,20 +495,19 @@ def assemble(mesh: Mesh, variant: str = "A", k: int = 1,
                         f is not None, cells[:, 0])
         part, load, rec = _class_contribution(mesh, cells, shape, loc, f,
                                               fixed_table, dofmap)
-        for i, t, l in zip(batch, part, load):
-            triples[i], loads[i] = t, l
+        parts.append(part)
+        loads.append(load)
         batch_of[cells] = len(classes)
         classes.append(rec)
 
     n = dofmap.n_dofs
-    rows, cols, vals = (np.concatenate(part) for part in zip(*triples))
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    gidx, rhs_vals = (np.concatenate(part) for part in zip(*loads))
+    matrix = _block_matrix(*(np.concatenate(p) for p in zip(*parts)), n)
+    gidx, rhs_vals = (np.concatenate(p) for p in zip(*loads))
     rhs = np.bincount(gidx, weights=rhs_vals, minlength=n)
     return CondensedSystem(matrix=matrix, rhs=rhs, dofmap=dofmap, mesh=mesh,
                            variant=variant, k=k, bc_mode=bc_mode,
                            scaling=scaling, classes=classes, labels=batch_of,
-                           prescribed=prescribed,
+                           prescribed=fixed_table,
                            assembly_time=time.perf_counter() - t0)
 
 

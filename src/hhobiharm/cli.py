@@ -10,9 +10,11 @@ Every run solves the condensed system with the one certified direct solve
 of `solving.solve`; the solver has no settings.  Configuration can be given
 as flags or as a flat key=value text file passed with --config (flags win);
 an unknown key exits 2.  `--print-config` prints the effective configuration
-and exits.  Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(a system the factorization does not certify SPD, or a residual over its
-bound).
+and exits.  Exit codes: 0 success; 2 configuration error (a bad flag, key or
+value, or a mesh file that cannot be read or does not conform to the
+format); 3 numerical or mesh failure (a system the factorization does not
+certify SPD, a residual over its bound, a mesh generator that fails, or a
+generated mesh that does not validate).
 """
 
 import argparse
@@ -23,8 +25,9 @@ from pathlib import Path
 
 from .common import ConfigError, NumericalError, STAB_SCALINGS
 from .manufactured import get_case
-from .mesh import (build_rect_mesh, build_tri_mesh, build_voronoi_mesh,
-                   load_mesh, save_mesh, validate, MeshError)
+from .mesh import (MeshError, MeshFormatError, build_rect_mesh,
+                   build_tri_mesh, build_voronoi_mesh, load_mesh, save_mesh,
+                   validate)
 from .solving import RateTable, convergence_study, solve_and_measure
 
 __all__ = ["main", "RunConfig"]
@@ -60,6 +63,10 @@ class RunConfig:
             raise ConfigError(f"scaling must be one of {STAB_SCALINGS}")
         if self.mesh_kind not in ("rect", "tri", "voronoi", "file"):
             raise ConfigError(f"unknown mesh kind {self.mesh_kind!r}")
+        for name in ("n", "cells"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got "
+                                  f"{getattr(self, name)}")
         try:
             get_case(self.case)
         except KeyError as err:
@@ -77,7 +84,10 @@ class RunConfig:
                                       self.lloyd)
         if not self.mesh_file:
             raise ConfigError("mesh kind 'file' needs --mesh-file")
-        return load_mesh(self.mesh_file)
+        try:
+            return load_mesh(self.mesh_file)
+        except OSError as err:
+            raise ConfigError(f"cannot read mesh file: {err}") from None
 
     def level_list(self):
         if not self.levels:
@@ -88,6 +98,8 @@ class RunConfig:
             raise ConfigError(f"bad --levels value {self.levels!r}") from None
         if len(out) < 2:
             raise ConfigError("--levels needs at least two resolutions")
+        if min(out) < 1:
+            raise ConfigError(f"--levels must be at least 1, got {self.levels!r}")
         return out
 
 
@@ -265,9 +277,12 @@ def main(argv=None) -> int:
                 print(f"{f.name} = {getattr(cfg, f.name)}")
             return 0
         return args.fn(cfg, args)
-    except (ConfigError, MeshError) as err:
+    except (ConfigError, MeshFormatError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
+    except MeshError as err:
+        print(f"mesh failure: {err}", file=sys.stderr)
+        return 3
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

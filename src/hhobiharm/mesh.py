@@ -99,21 +99,19 @@ def _positions(ptr):
     return cell, start + (pos - start - 1) % m, start + (pos - start + 1) % m
 
 
-def _polygon_moments(points, loops):
+def _polygon_moments(points, ptr, flat):
     """Signed area and centroid of every polygon in one flattened pass.
 
-    `loops` lists vertex ids into `points`, in either orientation: its sign
+    The polygons are the rows of the CSR table (`ptr`, `flat`) of vertex ids
+    into `points` (see `_csr`), each loop in either orientation: its sign
     cancels between the area and the first moments.  The shoelace sums run
     relative to each loop's first vertex: in absolute coordinates a small
     cell far from the origin loses digits to cancellation.  A zero area gives
     a non-finite centroid and no warning.
     """
-    counts = np.array([len(loop) for loop in loops], dtype=np.int64)
-    idx = np.concatenate(loops or [np.zeros(0, np.int64)])
-    ptr = np.concatenate([[0], np.cumsum(counts)])
     starts, nxt = ptr[:-1], _positions(ptr)[2]
-    first = points[idx[starts]]
-    rel = points[idx] - np.repeat(first, counts, axis=0)
+    first = points[flat[starts]]
+    rel = points[flat] - np.repeat(first, np.diff(ptr), axis=0)
     x, y = rel.T
     xn, yn = rel[nxt].T
     cross = x * yn - xn * y
@@ -225,8 +223,8 @@ class Mesh(_Cells):
             raise MeshFormatError(f"cell {c}: cell boundary not closed "
                                   f"(face {cf[p]} does not continue the loop)")
         self.cell_ptr, self.cell_face, self.cell_loop = ptr, cf, loop
-        self.cell_area, self.cell_centroid = _polygon_moments(vertices,
-                                                              self.cell_loops)
+        self.cell_area, self.cell_centroid = _polygon_moments(vertices, ptr,
+                                                              loop)
         bad = np.flatnonzero(~(self.cell_area > 0))
         if len(bad):
             raise MeshFormatError(f"cell {bad[0]}: face loop is not "
@@ -645,7 +643,7 @@ def _voronoi_mesh_once(points, n_cells):
     if np.diff(ptr).min() < 3:
         raise MeshError("degenerate Voronoi cell after vertex merging")
     loop, cell = loop[kept], cell[kept]
-    area, _ = _polygon_moments(verts, _rows(loop, ptr))
+    area, _ = _polygon_moments(verts, ptr, loop)
     pos = np.arange(len(loop))
     loop = loop[np.where(area[cell] < 0, ptr[cell] + ptr[cell + 1] - 1 - pos,
                          pos)]
@@ -802,7 +800,7 @@ def validate(mesh: Mesh) -> ValidationReport:
     sizes = np.diff(ptr)
     cell = np.repeat(np.arange(mesh.n_cells), sizes)
     hK = mesh.cell_diameter
-    area, _ = _polygon_moments(mesh.vertices, mesh.cell_loops)
+    area, _ = _polygon_moments(mesh.vertices, ptr, mesh.cell_loop)
     ok = mesh.cell_area > 1e-12 * hK ** 2
     bad += [f"cell {c}: zero or degenerate area" for c in np.flatnonzero(~ok)]
     moved = ok & (np.abs(area - mesh.cell_area) > 1e-12 * hK ** 2)

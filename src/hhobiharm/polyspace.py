@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg as sla
 
+from .common import tr
 from .mesh import Mesh, MeshError
 from .quadrature import QuadratureRule, segment_rule
 
@@ -216,8 +217,10 @@ class PolyCoeffs:
 
 
 def _gram(table, weights):
-    M = table.T @ (weights[:, None] * table)
-    return 0.5 * (M + M.T)
+    """Gram matrix of a basis table under quadrature weights; a leading
+    stack axis on both gives one matrix per stacked table."""
+    M = tr(table) @ (weights[..., None] * table)
+    return 0.5 * (M + tr(M))
 
 
 def cell_mass_matrix(basis: CellBasis, rule: QuadratureRule) -> np.ndarray:
@@ -262,20 +265,21 @@ def _legendre_table(s, degree):
 
 def _canonical_dof_rows(basis: FaceBasis, k: int, rule: QuadratureRule,
                         weight_basis: str):
-    """DoF functionals applied to the basis: endpoint values, then moments."""
+    """DoF functionals applied to the basis: endpoint values, then moments.
+    A stacked basis and rule (monomial weights) give one matrix per face."""
     ends = basis.eval_param(np.array([-0.5, 0.5]))
     rows = [ends]
     if k >= 1:
         s = basis.param(rule.points)
         table = basis.eval_param(s)
         if weight_basis == "monomial":
-            theta = basis.eval_param(s)[:, :k]
+            theta = basis.eval_param(s)[..., :k]
         elif weight_basis == "legendre":
             theta = _legendre_table(s, k - 1)
         else:
             raise ValueError(f"unknown weight basis {weight_basis!r}")
-        rows.append(theta.T @ (rule.weights[:, None] * table))
-    return np.vstack(rows)
+        rows.append(tr(theta) @ (rule.weights[..., None] * table))
+    return np.concatenate(rows, axis=-2)
 
 
 def canonical_interp_matrix(src: FaceBasis, k: int, rule: QuadratureRule,

@@ -205,18 +205,19 @@ def _field_values(polys, pts, ref_pts, h, offsets, orders):
     builds them, share one table per class, on the shape's points `ref_pts`
     (B, nq, 2); any other field gets tables of its own.  `polys` lists the
     fields class by class; `h` and `offsets` are (B,) and (B, m, 2)."""
-    deg = polys[0].basis.degree
-    hs = np.repeat(h, offsets.shape[1])
-    shared = np.array([p.basis.scale == s and p.basis.degree == deg
-                       and np.array_equal(p.basis.center, o)
-                       for p, s, o in zip(polys, hs, offsets.reshape(-1, 2))])
+    bases = [p.basis for p in polys]
+    deg = bases[0].degree
+    shared = ((np.array([b.degree for b in bases]) == deg)
+              & (np.array([b.scale for b in bases])
+                 == np.repeat(h, offsets.shape[1]))
+              & (np.array([b.center for b in bases])
+                 == offsets.reshape(-1, 2)).all(axis=1))
     out = np.empty((len(orders),) + pts.shape[:-1])
     if shared.any():
         tab = CellBasis(np.zeros((len(h), 2)), h, deg).tables(ref_pts, orders)
-        dim = tab[orders[0]].shape[-1]
-        C = np.array([p.coeffs if s else np.zeros(dim)
-                      for p, s in zip(polys, shared)])
-        out[...] = (C.reshape(offsets.shape[:2] + (dim,))
+        C = np.zeros((len(polys), tab[orders[0]].shape[-1]))
+        C[shared] = [polys[i].coeffs for i in np.flatnonzero(shared)]
+        out[...] = (C.reshape(offsets.shape[:2] + (-1,))
                     @ np.stack([tr(tab[o]) for o in orders]))
     flat = out.reshape(len(orders), -1, pts.shape[-2])
     for i in np.flatnonzero(~shared):

@@ -14,7 +14,8 @@ def dense_full_system(mesh, variant, k, bc_mode, case, scaling="k2-all"):
     """Uncondensed global system assembled densely (oracle for condensation).
 
     Returns (A, b, cell_offsets, dofmap, prescribed) with the unknown order
-    [all cell blocks | global face dofs].
+    [all cell blocks | global face dofs]; `prescribed` holds one row of
+    [trace | normal] values per face.
     """
     from hhobiharm.assembly import _prescribe_boundary
 
@@ -23,9 +24,8 @@ def dense_full_system(mesh, variant, k, bc_mode, case, scaling="k2-all"):
     if case is not None and not case.homogeneous:
         bdata = BoundaryData.from_case(case)
     dm = DofMap.create(mesh, variant, k, bc_mode)
-    prescribed = {}
-    if bc_mode == "strong":
-        prescribed = _prescribe_boundary(mesh, variant, k, bdata)
+    prescribed = _prescribe_boundary(mesh, variant, k,
+                                     None if nitsche else bdata)
 
     cell_dims = []
     all_ops = []
@@ -58,7 +58,7 @@ def dense_full_system(mesh, variant, k, bc_mode, case, scaling="k2-all"):
                 gidx[nsl] = start + dm.trace_dim + np.arange(dm.normal_dim)
                 sign[nsl] = mesh.cell_signs[c][a]
             else:
-                tr, nm = prescribed[f]
+                tr, nm = np.split(prescribed[f], [dm.trace_dim])
                 fixed[tsl] = tr
                 fixed[nsl] = mesh.cell_signs[c][a] * nm
         b_loc = np.zeros(n)
@@ -345,7 +345,7 @@ class TestBoundaryConditions:
         sys_ = assemble(rect22, "A", k, "strong", f=case.f,
                         bdata=BoundaryData.from_case(case))
         f = int(rect22.boundary_faces()[2])
-        tr, nm = sys_.prescribed[f]
+        tr, nm = np.split(sys_.prescribed[f], [sys_.dofmap.trace_dim])
         fb = FaceBasis.for_face(rect22, f, k + 1)
         rule = face_rule(rect22, f, 2 * (k + 2) + 5)
         expected = canonical_interp_face(case.u, k, fb, rule).coeffs
@@ -383,3 +383,159 @@ class TestOrientationInvariance:
             v1, v2 = fld1[c](pts), fld2[c](pts)
             assert np.allclose(v1, v2, atol=1e-10 * max(1.0, np.abs(v1).max()))
 
+
+
+@pytest.fixture(scope="module")
+def rect86():
+    return hb.build_rect_mesh(8, 6)
+
+
+@pytest.fixture(scope="module")
+def tri8():
+    return hb.build_tri_mesh(8)
+
+
+def user_neumann(p, n):
+    """A g_N that reads the normal it is given."""
+    return p[:, 0] * n[:, 0] - 2.0 * p[:, 1] ** 2 * n[:, 1] + n[:, 0] * n[:, 1]
+
+
+class TestStackedPrescription:
+    """`_prescribe_boundary` against `reduce_face`, one face at a time."""
+
+    @staticmethod
+    def per_face(mesh, variant, k, u, dn_u):
+        from hhobiharm.localops import reduce_face
+        from hhobiharm.quadrature import (BC_EXTRA_DEGREE, face_degree,
+                                          face_rule)
+
+        deg = face_degree(k) + BC_EXTRA_DEGREE
+        return {int(f): np.concatenate(reduce_face(
+                    mesh, f, u, lambda p, f=f: dn_u(p, mesh.face_normal[f]),
+                    variant, k, face_rule(mesh, f, deg)))
+                for f in mesh.boundary_faces()}
+
+    def check(self, mesh, variant, k, bdata, u, dn_u):
+        from hhobiharm.assembly import _prescribe_boundary
+
+        table = _prescribe_boundary(mesh, variant, k, bdata)
+        dm = DofMap.create(mesh, variant, k, "strong")
+        assert table.shape == (mesh.n_faces, dm.dofs_per_interface)
+        want = self.per_face(mesh, variant, k, u, dn_u)
+        for f, row in want.items():
+            assert np.array_equal(table[f], row), f
+        assert not table[mesh.interior_faces()].any()
+
+    @pytest.mark.parametrize("mesh_name", ["rect86", "tri8", "vor64"])
+    @pytest.mark.parametrize("variant", ["A", "B", "C"])
+    @pytest.mark.parametrize("k", range(4))
+    def test_matches_reduce_face_bitwise(self, mesh_name, variant, k,
+                                         request):
+        # The reference takes n . grad face by face, one matrix-vector
+        # product each.  The outward normals of the unit square are +-e_x
+        # and +-e_y, so the per-point products give the same bits.
+        mesh = request.getfixturevalue(mesh_name)
+        case = hb.get_case("2")
+        self.check(mesh, variant, k, BoundaryData.from_case(case), case.u,
+                   lambda p, n: np.asarray(case.grad(p)) @ n)
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_user_neumann_gets_one_normal_per_point(self, vor64, variant, k):
+        g_D = lambda p: np.sin(p[:, 0]) + p[:, 1] ** 3
+        seen = []
+
+        def g_N(p, n):
+            seen.append((p.shape, n.shape))
+            return user_neumann(p, n)
+
+        bdata = BoundaryData(g_D=g_D, g_N=g_N)
+        self.check(vor64, variant, k, bdata, g_D,
+                   lambda p, n: user_neumann(p, np.tile(n, (len(p), 1))))
+        # One call, on every rule point of every boundary face.
+        assert len(seen) == 1
+        assert seen[0][0] == seen[0][1] and seen[0][0][1] == 2
+
+    def test_no_data_prescribes_zero(self, vor64):
+        from hhobiharm.assembly import _prescribe_boundary
+
+        assert not _prescribe_boundary(vor64, "A", 2, None).any()
+
+
+def coo_reference(mesh, variant, k, bc, case, monkeypatch):
+    """`assemble` beside a COO scatter of the same local Schur complements,
+    entry by entry in the global numbering (the scatter before the face
+    blocks).  Returns the system and the reference (matrix, rhs)."""
+    import scipy.sparse as sp
+    import hhobiharm.assembly as assembly_mod
+
+    seen = []
+    real = assembly_mod._class_contribution
+
+    def recording(mesh, members, shape, loc, *rest):
+        out = real(mesh, members, shape, loc, *rest)
+        seen.append((loc.S_rr, out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(assembly_mod, "_class_contribution", recording)
+    sys_ = assemble(mesh, variant, k, bc, f=case.f,
+                    bdata=BoundaryData.from_case(case))
+    n = sys_.n_dofs
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n)
+    for S_rr, (gidx, rhs_vals), rec in seen:
+        sign, g = rec.rest_sign, rec.rest_gidx
+        S = S_rr[:, None] * sign[..., :, None] * sign[..., None, :]
+        pair = (g[..., :, None] >= 0) & (g[..., None, :] >= 0)
+        rows.append(np.broadcast_to(g[..., :, None], S.shape)[pair])
+        cols.append(np.broadcast_to(g[..., None, :], S.shape)[pair])
+        vals.append(S[pair])
+        np.add.at(rhs, gidx, rhs_vals)
+    ref = sp.coo_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n)).tocsr()
+    return sys_, ref, rhs
+
+
+def assert_same_system(matrix, rhs, ref, ref_rhs):
+    """Equal CSR arrays and right-hand sides, bit for bit (signed zeros
+    included)."""
+    assert np.array_equal(matrix.indptr, ref.indptr)
+    assert np.array_equal(matrix.indices, ref.indices)
+    assert np.array_equal(matrix.data.view(np.uint64), ref.data.view(np.uint64))
+    assert np.array_equal(rhs.view(np.uint64), ref_rhs.view(np.uint64))
+
+
+class TestBlockScatter:
+    @pytest.mark.parametrize("mesh_name,variant,k,bc", [
+        ("vor64", "A", 1, "strong"), ("vor64", "B", 2, "nitsche"),
+        ("rect86", "A", 3, "strong"), ("rect86", "C", 3, "strong"),
+        ("dented", "A", 2, "strong"), ("dented", "B", 1, "nitsche")])
+    @pytest.mark.parametrize("batch", [None, 1])
+    def test_matches_coo_scatter_bitwise(self, mesh_name, variant, k, bc,
+                                         batch, request, monkeypatch):
+        import hhobiharm.mesh as mesh_mod
+        from conftest import DENTED
+
+        if batch is not None:
+            monkeypatch.setattr(mesh_mod, "_BATCH", batch)
+        mesh = (DENTED if mesh_name == "dented"
+                else request.getfixturevalue(mesh_name))
+        sys_, ref, ref_rhs = coo_reference(mesh, variant, k, bc,
+                                           hb.get_case("2"), monkeypatch)
+        assert_same_system(sys_.matrix, sys_.rhs, ref, ref_rhs)
+
+    @pytest.mark.parametrize("mesh_name,k,bc", [
+        ("vor64", 2, "strong"), ("vor64", 1, "nitsche"), ("rect86", 3, "strong")])
+    def test_matrix_is_canonical_and_bitwise_symmetric(self, mesh_name, k, bc,
+                                                       request):
+        mesh = request.getfixturevalue(mesh_name)
+        case = hb.get_case("2")
+        A = assemble(mesh, "B", k, bc, f=case.f,
+                     bdata=BoundaryData.from_case(case)).matrix
+        assert A.format == "csr" and A.has_canonical_format
+        At = A.T.tocsr()
+        At.sort_indices()
+        assert np.array_equal(A.indptr, At.indptr)
+        assert np.array_equal(A.indices, At.indices)
+        assert np.array_equal(A.data.view(np.uint64), At.data.view(np.uint64))

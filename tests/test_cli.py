@@ -193,3 +193,57 @@ class TestConfigHandling:
         with pytest.raises(KeyError):
             run(["solve", "--mesh-kind", "rect", "--n", "2",
                  "--out-dir", str(tmp_path)])
+
+
+class TestExitCodes:
+    """2 for a bad configuration or mesh file, 3 for a failure inside the
+    mesh layer that the configuration did not cause."""
+
+    @pytest.mark.parametrize("args", [["--mesh-kind", "rect", "--n", "0"],
+                                      ["--mesh-kind", "tri", "--n", "-1"],
+                                      ["--mesh-kind", "voronoi", "--cells", "0"]],
+                             ids=["rect-n0", "tri-n-1", "voronoi-cells0"])
+    def test_size_below_one_is_a_config_error(self, args, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the mesh was built")
+
+        monkeypatch.setattr(cli.RunConfig, "build_mesh", unreachable)
+        assert run(["solve", *args]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_level_below_one_is_a_config_error(self, tmp_path, capsys):
+        assert run(["convergence", "--mesh-kind", "rect", "--levels", "0,4",
+                    "--k", "0", "--out-dir", str(tmp_path)]) == 2
+        assert "--levels" in capsys.readouterr().err
+
+    def test_malformed_mesh_file_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert run(["solve", "--mesh-kind", "file", "--mesh-file", str(bad),
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    def test_missing_mesh_file_is_a_config_error(self, tmp_path, capsys):
+        assert run(["solve", "--mesh-kind", "file", "--mesh-file",
+                    str(tmp_path / "absent.json"),
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "cannot read mesh file" in capsys.readouterr().err
+
+    # The generator's give-up, and the ear clipping inside a solve.
+    @pytest.mark.parametrize("where,message", [
+        ("build_voronoi_mesh",
+         "Voronoi generation failed after 10 attempts: degenerate cell"),
+        ("solve_and_measure",
+         "ear clipping failed (self-intersecting polygon?)")],
+        ids=["generator", "solve"])
+    def test_mesh_layer_failure_exits_3(self, where, message, tmp_path,
+                                        monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise hb.MeshError(message)
+
+        monkeypatch.setattr(cli, where, failing)
+        assert run(["solve", "--mesh-kind", "voronoi", "--cells", "16",
+                    "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "mesh failure" in err and message in err
+        assert "configuration error" not in err

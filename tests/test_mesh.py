@@ -10,7 +10,7 @@ from scipy.spatial import Delaunay, Voronoi, cKDTree
 import hhobiharm as hb
 import hhobiharm.mesh as mesh_mod
 from hhobiharm.mesh import (MeshError, MeshFormatError, _clipped_voronoi,
-                            _polygon_moments, _voronoi_moments)
+                            _csr, _polygon_moments, _voronoi_moments)
 
 from conftest import DENTED_LOOPS, DENTED_VERTICES
 
@@ -44,9 +44,9 @@ class TestRectMesh:
         calls = []
         orig = mesh_mod._polygon_moments
 
-        def counting(points, loops):
+        def counting(*args):
             calls.append(1)
-            return orig(points, loops)
+            return orig(*args)
 
         monkeypatch.setattr(mesh_mod, "_polygon_moments", counting)
         hb.build_rect_mesh(4, 4)
@@ -76,7 +76,7 @@ class TestPolygonMoments:
         # Equal below 8 vertices, where np.sum adds in sequence as reduceat
         # does; from 8 terms np.sum sums pairwise.
         m = maker()
-        area, cen = _polygon_moments(m.vertices, m.cell_loops)
+        area, cen = _polygon_moments(m.vertices, *_csr(m.cell_loops))
         for c, loop in enumerate(m.cell_loops):
             ref_area, ref_cen = self.shoelace(m.vertices[loop])
             if len(loop) < 8:
@@ -87,9 +87,9 @@ class TestPolygonMoments:
     def test_reversed_loops_negate_areas_and_keep_centroids(self, vor64):
         # Lloyd regions come in either orientation.
         for m in (vor64, hb.build_rect_mesh(3, 2), hb.build_tri_mesh(2)):
-            area, cen = _polygon_moments(m.vertices, m.cell_loops)
+            area, cen = _polygon_moments(m.vertices, *_csr(m.cell_loops))
             r_area, r_cen = _polygon_moments(
-                m.vertices, [loop[::-1] for loop in m.cell_loops])
+                m.vertices, *_csr([loop[::-1] for loop in m.cell_loops]))
             assert np.allclose(r_area, -area, rtol=1e-13, atol=0)
             assert np.allclose(r_cen, cen, rtol=0, atol=1e-15)
 
@@ -218,7 +218,7 @@ def _assert_same_cells(pts, band):
                    lambda points: tris.append(qhull(points)) or tris[-1])
         area, cen = _voronoi_moments(pts, band)
     vertices, regions = _clipped_voronoi(pts)
-    area_full, cen_full = _polygon_moments(vertices, regions)
+    area_full, cen_full = _polygon_moments(vertices, *_csr(regions))
     np.testing.assert_allclose(area, np.abs(area_full), rtol=0, atol=1e-13)
     np.testing.assert_allclose(cen, cen_full, rtol=0, atol=1e-13)
 
@@ -306,7 +306,7 @@ def _per_region_mesh(points):
     for reg in regions:
         loop = final[alias][remap[np.asarray(reg)]]
         loops.append([v for i, v in enumerate(loop) if v != loop[i - 1]])
-    area, _ = _polygon_moments(verts, loops)
+    area, _ = _polygon_moments(verts, *_csr(loops))
     loops = [loop[::-1] if a < 0 else loop for loop, a in zip(loops, area)]
     return hb.Mesh.from_cell_loops(verts, loops)
 
@@ -646,7 +646,7 @@ def assert_matches_reference(mesh, vertices, face_vertices, cell_faces):
                      (mesh.cell_signs, signs)):
         assert len(got) == len(ref)
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
-    area, centroid = _polygon_moments(vertices, [np.array(l) for l in loops])
+    area, centroid = _polygon_moments(vertices, *_csr(loops))
     assert np.array_equal(mesh.cell_area, area)
     assert np.array_equal(mesh.cell_centroid, centroid)
     assert np.array_equal(mesh.cell_diameter, diameter)
