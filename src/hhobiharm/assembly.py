@@ -243,9 +243,9 @@ def _prescribe_boundary(mesh, variant, k, bdata):
     """
     _, trace_deg, normal_deg = space_degrees(variant, k)
     table = np.zeros((mesh.n_faces, trace_deg + normal_deg + 2))
-    faces = mesh.boundary_faces()
-    if bdata is None or len(faces) == 0:
+    if bdata is None:
         return table
+    faces = mesh.boundary_faces()
     rule = face_rule(mesh, faces, face_degree(k) + BC_EXTRA_DEGREE)
     w = rule.weights
     pts = rule.points.reshape(-1, 2)
@@ -385,11 +385,10 @@ def _class_contribution(mesh, members, shape, loc, f_load, fixed_table,
 
     face, block, power = _rest_map(lay)
     rows = mesh.cell_rows(members)
-    signs = rows.signs[..., face].astype(np.float64) ** power
     # Per class, an (m, n_rest) table stored column by column, the layout
     # that the products below read.
     faces = by_columns(rows.faces[..., face])
-    sign = by_columns(signs)
+    sign = by_columns(rows.signs[..., face].astype(np.float64) ** power)
     start = dofmap.face_offset[faces]
     unk = start >= 0
     gidx = np.where(unk, start + block, -1)
@@ -401,9 +400,10 @@ def _class_contribution(mesh, members, shape, loc, f_load, fixed_table,
     order, at = _face_order(lay)
     d = dofmap.dofs_per_interface
     S_rr = loc.S_rr[:, order[:, None], order]
-    sgn = signs[..., order]
+    sgn = sign[..., order]
     S = S_rr[:, None] * sgn[..., :, None] * sgn[..., None, :]
-    blocks = S.reshape(members.shape + (len(at), d, len(at), d)).swapaxes(-3, -2)
+    nf = len(at)
+    blocks = S.reshape(members.shape + (nf, d, nf, d)).swapaxes(-3, -2)
     key = dofmap.face_offset[rows.faces[..., at]] // d
     pair = (key[..., :, None] >= 0) & (key[..., None, :] >= 0)
     brow = np.broadcast_to(key[..., :, None], pair.shape)[pair]

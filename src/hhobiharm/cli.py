@@ -99,7 +99,8 @@ class RunConfig:
         if len(out) < 2:
             raise ConfigError("--levels needs at least two resolutions")
         if min(out) < 1:
-            raise ConfigError(f"--levels must be at least 1, got {self.levels!r}")
+            raise ConfigError(f"--levels must be at least 1, got "
+                              f"{self.levels!r}")
         return out
 
 

@@ -384,7 +384,6 @@ class TestOrientationInvariance:
             assert np.allclose(v1, v2, atol=1e-10 * max(1.0, np.abs(v1).max()))
 
 
-
 @pytest.fixture(scope="module")
 def rect86():
     return hb.build_rect_mesh(8, 6)
@@ -393,11 +392,6 @@ def rect86():
 @pytest.fixture(scope="module")
 def tri8():
     return hb.build_tri_mesh(8)
-
-
-def user_neumann(p, n):
-    """A g_N that reads the normal it is given."""
-    return p[:, 0] * n[:, 0] - 2.0 * p[:, 1] ** 2 * n[:, 1] + n[:, 0] * n[:, 1]
 
 
 class TestStackedPrescription:
@@ -443,15 +437,18 @@ class TestStackedPrescription:
     @pytest.mark.parametrize("k", [0, 2])
     def test_user_neumann_gets_one_normal_per_point(self, vor64, variant, k):
         g_D = lambda p: np.sin(p[:, 0]) + p[:, 1] ** 3
+        reads_normals = lambda p, n: (p[:, 0] * n[:, 0]
+                                      - 2.0 * p[:, 1] ** 2 * n[:, 1]
+                                      + n[:, 0] * n[:, 1])
         seen = []
 
         def g_N(p, n):
             seen.append((p.shape, n.shape))
-            return user_neumann(p, n)
+            return reads_normals(p, n)
 
         bdata = BoundaryData(g_D=g_D, g_N=g_N)
         self.check(vor64, variant, k, bdata, g_D,
-                   lambda p, n: user_neumann(p, np.tile(n, (len(p), 1))))
+                   lambda p, n: reads_normals(p, np.tile(n, (len(p), 1))))
         # One call, on every rule point of every boundary face.
         assert len(seen) == 1
         assert seen[0][0] == seen[0][1] and seen[0][0][1] == 2
@@ -464,8 +461,8 @@ class TestStackedPrescription:
 
 def coo_reference(mesh, variant, k, bc, case, monkeypatch):
     """`assemble` beside a COO scatter of the same local Schur complements,
-    entry by entry in the global numbering (the scatter before the face
-    blocks).  Returns the system and the reference (matrix, rhs)."""
+    entry by entry in the global numbering.  Returns the system and the
+    reference matrix and right-hand side."""
     import scipy.sparse as sp
     import hhobiharm.assembly as assembly_mod
 
@@ -502,7 +499,8 @@ def assert_same_system(matrix, rhs, ref, ref_rhs):
     included)."""
     assert np.array_equal(matrix.indptr, ref.indptr)
     assert np.array_equal(matrix.indices, ref.indices)
-    assert np.array_equal(matrix.data.view(np.uint64), ref.data.view(np.uint64))
+    assert np.array_equal(matrix.data.view(np.uint64),
+                          ref.data.view(np.uint64))
     assert np.array_equal(rhs.view(np.uint64), ref_rhs.view(np.uint64))
 
 
@@ -526,7 +524,8 @@ class TestBlockScatter:
         assert_same_system(sys_.matrix, sys_.rhs, ref, ref_rhs)
 
     @pytest.mark.parametrize("mesh_name,k,bc", [
-        ("vor64", 2, "strong"), ("vor64", 1, "nitsche"), ("rect86", 3, "strong")])
+        ("vor64", 2, "strong"), ("vor64", 1, "nitsche"),
+        ("rect86", 3, "strong")])
     def test_matrix_is_canonical_and_bitwise_symmetric(self, mesh_name, k, bc,
                                                        request):
         mesh = request.getfixturevalue(mesh_name)

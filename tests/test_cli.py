@@ -199,10 +199,11 @@ class TestExitCodes:
     """2 for a bad configuration or mesh file, 3 for a failure inside the
     mesh layer that the configuration did not cause."""
 
-    @pytest.mark.parametrize("args", [["--mesh-kind", "rect", "--n", "0"],
-                                      ["--mesh-kind", "tri", "--n", "-1"],
-                                      ["--mesh-kind", "voronoi", "--cells", "0"]],
-                             ids=["rect-n0", "tri-n-1", "voronoi-cells0"])
+    @pytest.mark.parametrize("args", [
+        ["--mesh-kind", "rect", "--n", "0"],
+        ["--mesh-kind", "tri", "--n", "-1"],
+        ["--mesh-kind", "voronoi", "--cells", "0"]],
+        ids=["rect-n0", "tri-n-1", "voronoi-cells0"])
     def test_size_below_one_is_a_config_error(self, args, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
             raise AssertionError("the mesh was built")
